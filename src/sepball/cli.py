@@ -9,6 +9,7 @@ read from the environment and no timestamps are emitted.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -29,12 +30,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _tolerance(text: str) -> float:
+    # NaN would fail every threshold comparison and turn verdicts around.
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0.0 <= value < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite nonnegative number, got {text!r}")
+    return value
+
+
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0,
                    help="master seed for all stochastic procedures")
-    p.add_argument("--tol-psd", type=float, default=1e-9,
+    p.add_argument("--tol-psd", type=_tolerance, default=1e-9,
                    help="eigenvalue slack for positivity checks")
-    p.add_argument("--tol-gap", type=float, default=1e-9,
+    p.add_argument("--tol-gap", type=_tolerance, default=1e-9,
                    help="duality-gap target for interior-point solves")
     p.add_argument("--threads", type=int, default=0,
                    help="worker threads for scans (0 = logical cores)")
@@ -177,11 +190,15 @@ def _parse_element_spec(args) -> algebra.BipartiteElement:
     raise SepballError(f"--element: unknown constructor {spec!r}")
 
 
-def _float_tok(tok: str, spec: str) -> float:
+def _float_tok(tok: str, spec: str, flag: str = "--element") -> float:
+    message = f"{flag}: bad numeric field in {spec!r}"
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
-        raise SepballError(f"--element: bad numeric field in {spec!r}")
+        raise SepballError(message)
+    if not math.isfinite(value):
+        raise SepballError(message)
+    return value
 
 
 def _check(name: str, passed: bool, margin: float) -> dict:
@@ -420,11 +437,8 @@ def _run_sep_check(args) -> int:
 def _run_gamma_scan(args) -> int:
     alg_a = _parse_blocks(args.alg_a, "--algA")
     alg_b = _parse_blocks(args.alg_b, "--algB")
-    try:
-        radii = tuple(float(tok) for tok in args.radii.split(",") if tok)
-    except ValueError:
-        raise SepballError(f"--radii: expected comma-separated reals, "
-                           f"got {args.radii!r}")
+    radii = tuple(_float_tok(tok, args.radii, "--radii")
+                  for tok in args.radii.split(",") if tok)
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     rep = separability.sep_ball_scan(alg_a, alg_b, radii,
                                      samples=args.samples, seed=args.seed,

@@ -80,6 +80,15 @@ def eig_hermitian(m, rtol: float = HERMITICITY_RTOL):
     return w, v
 
 
+def eigvals_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending, without eigenvectors."""
+    a = check_hermitian(m, rtol=rtol)
+    try:
+        return scipy.linalg.eigvalsh(a, driver="ev")
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - pathological
+        raise ConvergenceError(f"Hermitian eigensolver hit its iteration limit: {exc}")
+
+
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     w, _ = eig_hermitian(m)

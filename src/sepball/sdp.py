@@ -60,6 +60,8 @@ class SdpProblem:
         obj = tuple(
             matcore.check_hermitian(_sized(c, d)) for c, d in zip(objective, blocks)
         )
+        if len(constraints) == 0:
+            raise DimensionError("the problem needs at least one constraint")
         cons = []
         for idx, (rhs, mats) in enumerate(constraints):
             rhs = float(rhs)

@@ -1,14 +1,20 @@
 """Entanglement witnesses and separable neighborhoods of the identity.
 
-A positive element x of A (x) B is checked block pair by block pair.
-Each pair runs a decomposable-witness program
+A positive element x of A (x) B is checked block pair by block pair
+against the decomposable witnesses W = C_1 + C_2^G with C_1, C_2 >= 0
+and Tr(W) = 1 (G = partial transpose on the B leg).  Because
+Tr(C_2^G x) = Tr(C_2 x^G), the best such witness has the closed form
 
-    minimize Tr(W x)  over  W = C_1 + C_2^G,  C_1, C_2 >= 0,  Tr(W) = 1
+    min_W Tr(W x) = min(lambda_min(x), lambda_min(x^G)),
 
-(G = partial transpose on the B leg).  A negative optimum yields a
-positive map phi whose amplification Id (x) phi maps x outside the
-positive cone, together with the violated eigenvector: a certificate of
-entanglement checkable by eigendecomposition alone.  A nonnegative
+attained by a rank-one C_2 = |v><v| on the bottom eigenvector v of x^G
+(Horodecki^3, PLA 223 (1996); Lewenstein-Kraus-Cirac-Horodecki, PRA 62,
+052310 (2000)), so each pair costs one eigendecomposition of x^G and no
+interior-point solve.  On a positive x a negative optimum means x^G has
+a negative eigenvalue; the rank-one witness W = (|v><v|)^G then induces
+a positive map phi whose amplification Id (x) phi moves x outside the
+positive cone, and the violated eigenvector of the moved element is a
+certificate checkable by eigendecomposition alone.  A nonnegative
 optimum certifies separability only where the partial-transpose test is
 decisive, i.e. pairs of sizes 2x2 and 2x3 (and trivially when either
 block is one-dimensional); everything else stays undecided.
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, matcore, maps, sampling, sdp
+from . import algebra, matcore, maps, sampling
 from .errors import DimensionError, PositivityError
 
 PSD_SLACK = 1e-9
@@ -37,8 +43,6 @@ class WitnessData:
     vector: np.ndarray = field(repr=False)
     violation: float = 0.0
     witness_matrix: np.ndarray = field(repr=False, default=None)
-    c1: np.ndarray = field(repr=False, default=None)
-    c2: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -89,56 +93,39 @@ def induced_witness_map(w: np.ndarray, n: int, m: int) -> maps.LinearMapRep:
     return maps.LinearMapRep(m, n, np.ascontiguousarray(choi))
 
 
-def _witness_problem(part: np.ndarray, dims) -> sdp.SdpProblem:
-    d = part.shape[0]
-    gamma = matcore.partial_transpose(part, dims, "second")
-    objective = (part, gamma)
-    eye = np.eye(d, dtype=np.complex128)
-    constraints = ((1.0, (eye, eye)),)
-    return sdp.SdpProblem(blocks=(d, d), objective=objective,
-                          constraints=constraints)
+def _certify_pair(part, dims, pair, lam_min, scale, tol):
+    """Closed-form decomposable witness on one block pair.
 
-
-def _certify_pair(part, dims, pair, tol):
-    """Run the witness program on one block pair."""
+    ``lam_min`` is the smallest eigenvalue of ``part`` and ``scale`` is
+    max(1, ||part||), both from the caller's positivity precheck.
+    """
     n, m = dims
-    norm = matcore.operator_norm(part)
-    scale = max(1.0, norm)
     gamma = matcore.partial_transpose(part, dims, "second")
-    ppt_margin = matcore.min_eigenvalue(gamma)
+    g_evals, g_vecs = matcore.eig_hermitian(gamma)
+    ppt_margin = float(g_evals[0])
+    value = min(lam_min, ppt_margin)
 
     if n == 1 or m == 1:
         # One leg is scalar: every positive element is a product.
         decomp = [(np.ones((1, 1), dtype=np.complex128), part.copy())] \
             if n == 1 else [(part.copy(), np.ones((1, 1), dtype=np.complex128))]
         report = PairReport(pair, dims, "separable-certified",
-                            witness_value=float(min(ppt_margin, 0.0)),
-                            ppt_margin=ppt_margin,
+                            witness_value=value, ppt_margin=ppt_margin,
                             message="scalar leg, element is a product")
         return report, None, decomp
 
-    sol = sdp.solve(_witness_problem(part, dims),
-                    sdp.SdpOptions(check_independence=False))
-    if sol.status != "optimal":
-        report = PairReport(pair, dims, "undecided",
-                            witness_value=float("nan"),
-                            ppt_margin=ppt_margin,
-                            message=f"witness program status {sol.status}")
-        return report, None, None
-    value = float(sol.primal_obj)
-
     if value < -tol * scale:
-        c1, c2 = sol.primal
-        w = c1 + matcore.partial_transpose(c2, dims, "second")
-        w = matcore.check_hermitian(w, rtol=1e-6)
+        # lam_min passed the precheck, so the optimum is lambda_min(x^G),
+        # attained by C_2 = |v><v|: W = (|v><v|)^G has trace one.
+        v = g_vecs[:, 0]
+        w = matcore.partial_transpose(np.outer(v, v.conj()), dims, "second")
         phi = induced_witness_map(w, n, m)
         moved = maps.apply_to_second_leg(phi, part, n)
         evals, evecs = matcore.eig_hermitian(moved)
         violation = float(evals[0])
         if violation < -tol * scale:
             data = WitnessData(pair=pair, map=phi, vector=evecs[:, 0],
-                               violation=violation, witness_matrix=w,
-                               c1=c1, c2=c2)
+                               violation=violation, witness_matrix=w)
             report = PairReport(pair, dims, "entangled-certified",
                                 witness_value=value, ppt_margin=ppt_margin)
             return report, data, None
@@ -164,22 +151,25 @@ def entanglement_witness(x: algebra.BipartiteElement,
                          tol: float = PSD_SLACK) -> SepVerdict:
     """Certify entanglement or separability of a positive element."""
     x = x.hermitized()
+    spectra = []
     for (k, l) in x.pairs():
-        part = x.part(k, l)
-        margin = matcore.min_eigenvalue(part)
-        if margin < -tol * max(1.0, matcore.operator_norm(part)):
+        evals = matcore.eigvals_hermitian(x.part(k, l))
+        lam_min = float(evals[0])
+        scale = max(1.0, abs(lam_min), abs(float(evals[-1])))
+        if lam_min < -tol * scale:
             raise PositivityError(
-                f"block pair ({k},{l}) has eigenvalue {margin:.3e}; "
+                f"block pair ({k},{l}) has eigenvalue {lam_min:.3e}; "
                 "the witness test needs a positive element"
             )
+        spectra.append((lam_min, scale))
 
     reports = []
     witness = None
     decomposition = []
     have_decomposition = True
-    for (k, l) in x.pairs():
+    for (k, l), (lam_min, scale) in zip(x.pairs(), spectra):
         report, data, decomp = _certify_pair(
-            x.part(k, l), x.pair_dims(k, l), (k, l), tol)
+            x.part(k, l), x.pair_dims(k, l), (k, l), lam_min, scale, tol)
         reports.append(report)
         if data is not None and witness is None:
             witness = data
@@ -345,8 +335,13 @@ def sep_ball_scan(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
     the outcome.
     """
     radii = tuple(float(r) for r in radii)
-    if any(r < 0 or r > 1 for r in radii):
+    if not radii:
+        raise DimensionError("the scan needs at least one radius")
+    # Written so that NaN, which fails every comparison, is refused too.
+    if not all(0.0 <= r <= 1.0 for r in radii):
         raise DimensionError("scan radii must lie in [0, 1]")
+    if samples < 0:
+        raise DimensionError(f"samples must be nonnegative, got {samples}")
 
     def one_sample(ri: int, s: int):
         rng = sampling.rng_from(0x5CA9, seed, ri, s)

@@ -130,6 +130,48 @@ def test_sdp_solve_infeasible_is_success(tmp_path, capsys):
     assert json.loads(out)["status"] == "infeasible"
 
 
+def test_sdp_solve_without_constraints_is_error(tmp_path, capsys):
+    doc = {"blocks": [2], "objective": [jsonio.encode_matrix(np.eye(2))],
+           "constraints": []}
+    path = tmp_path / "prob.json"
+    path.write_text(jsonio.dumps(doc))
+    code, out, err = _run(capsys, "sdp-solve", "--problem", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sepball: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sep-check", "--element", "id_minus:swap:nan", "--dims", "2x2"),
+    ("sep-check", "--element", "id_minus:swap:inf", "--dims", "2x2"),
+    ("sep-check", "--element", "gue:-inf", "--dims", "2x2"),
+    ("sep-check", "--element", "extremal:nan", "--dims", "2x2"),
+    ("gamma-scan", "--algA", "2", "--algB", "2", "--radii", "nan"),
+    ("gamma-scan", "--algA", "2", "--algB", "2", "--radii", "0.3,inf"),
+    ("gamma-scan", "--algA", "2", "--algB", "2", "--radii", ","),
+    ("gamma-scan", "--algA", "2", "--algB", "2", "--radii", "0.3",
+     "--samples", "-3"),
+    ("eta", "--algA", "2", "--algB", "2", "--samples", "-1"),
+])
+def test_bad_numbers_are_one_line_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sepball: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--tol-psd", "nan"),
+                                        ("--tol-psd", "-1"),
+                                        ("--tol-gap", "inf")])
+def test_bad_tolerance_is_usage_error(capsys, flag, value):
+    # a NaN slack used to certify this entangled element as separable
+    code, out, err = _run(capsys, "sep-check", "--element", "extremal:0.05",
+                          "--dims", "2x2", flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"argument {flag}" in err.splitlines()[-1]
+
+
 def test_missing_file_is_error(capsys):
     code, out, err = _run(capsys, "sdp-solve", "--problem", "/nonexistent.json")
     assert code == 1

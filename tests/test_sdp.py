@@ -178,6 +178,8 @@ def test_problem_validation():
     with pytest.raises(DimensionError):
         sdp.SdpProblem(blocks=(2,), objective=(np.eye(2),),
                        constraints=((float("nan"), (np.eye(2),)),))
+    with pytest.raises(DimensionError):
+        sdp.SdpProblem(blocks=(2,), objective=(np.eye(2),), constraints=())
 
 
 def test_solution_close_to_analytic_optimizer():

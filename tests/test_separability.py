@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepball import algebra, maps, matcore, sampling, separability
+from sepball import algebra, cli, maps, matcore, sampling, sdp, separability
 from sepball.errors import DimensionError, PositivityError
 
 
@@ -34,21 +34,70 @@ def test_ppt_check_identity():
     assert all(abs(m - 1.0) < 1e-12 for m in margins)
 
 
+def _witness_problem(part, dims):
+    """The decomposable-witness SDP on one pair, in standard form:
+
+    minimize Tr(C1 x) + Tr(C2 x^G)  subject to  Tr C1 + Tr C2 = 1.
+    """
+    d = part.shape[0]
+    gamma = matcore.partial_transpose(part, dims, "second")
+    eye = np.eye(d, dtype=np.complex128)
+    return sdp.SdpProblem(blocks=(d, d), objective=(part, gamma),
+                          constraints=((1.0, (eye, eye)),))
+
+
+def _witness_oracle(part, dims):
+    return min(
+        matcore.min_eigenvalue(part),
+        matcore.min_eigenvalue(matcore.partial_transpose(part, dims, "second")),
+    )
+
+
 @settings(max_examples=25)
 @given(st.integers(0, 1000))
 def test_witness_sdp_matches_eigenvalue_oracle(seed):
-    # optimum of the witness problem is min(lmin(x), lmin(x^PT))
+    # the interior-point solver reproduces the closed-form optimum
     rng = _rng(seed)
     g = sampling.complex_gaussian(rng, (4, 4))
     part = (g + g.conj().T) / 2
-    from sepball.sdp import solve
-    sol = solve(separability._witness_problem(part, (2, 2)))
+    sol = sdp.solve(_witness_problem(part, (2, 2)))
     assert sol.status == "optimal"
-    oracle = min(
-        matcore.min_eigenvalue(part),
-        matcore.min_eigenvalue(matcore.partial_transpose(part, (2, 2), "second")),
-    )
-    assert abs(sol.primal_obj - oracle) < 1e-6
+    assert abs(sol.primal_obj - _witness_oracle(part, (2, 2))) < 1e-6
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4),
+                                  (1, 3)])
+def test_closed_form_witness_without_solver(dims, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the witness path must not run the SDP solver")
+
+    monkeypatch.setattr(sdp, "solve", no_solve)
+    n, m = dims
+    alg_a, alg_b = algebra.FdAlgebra((n,)), algebra.FdAlgebra((m,))
+    elements = [
+        algebra.identity_minus(
+            separability._gue_element(alg_a, alg_b, r, _rng(i)))
+        for i, r in enumerate((0.2, 0.5, 0.8, 0.95))
+    ]
+    if min(dims) >= 2:
+        elements.append(separability.extremal_direction(alg_a, alg_b))
+    entangled = 0
+    for x in elements:
+        verdict = separability.entanglement_witness(x)
+        (report,) = verdict.pair_reports
+        part = x.part(0, 0)
+        assert abs(report.witness_value - _witness_oracle(part, dims)) <= 1e-12
+        if verdict.status == "entangled-certified":
+            entangled += 1
+            w = verdict.witness.witness_matrix
+            assert abs(np.trace(w) - 1.0) <= 1e-12
+            assert abs(np.trace(w @ part) - report.witness_value) <= 1e-12
+            check = cli._verify_verdict(x, verdict, separability.PSD_SLACK)
+            assert check["passed"], check
+    if min(dims) >= 2:
+        assert entangled >= 1
+    else:
+        assert entangled == 0
 
 
 def test_extremal_entangled_is_certified():
@@ -219,6 +268,15 @@ def test_scan_no_onset_inside_ball():
     report = separability.sep_ball_scan(M2, M2, radii=(0.3,), samples=2, seed=0)
     assert report.onset is None
     assert report.rows[0].entangled == 0
+
+
+@pytest.mark.parametrize("radii,samples", [((float("nan"),), 2),
+                                           ((0.3, float("inf")), 2),
+                                           ((), 2),
+                                           ((0.3,), -3)])
+def test_scan_rejects_bad_radii_and_samples(radii, samples):
+    with pytest.raises(DimensionError):
+        separability.sep_ball_scan(M2, M2, radii=radii, samples=samples)
 
 
 def test_gue_sample_norm_is_radius():
