@@ -48,35 +48,6 @@ class FdAlgebra:
         return sum(b * b for b in self.blocks)
 
 
-def rank(a: FdAlgebra) -> int:
-    """Largest block size of the algebra."""
-    return a.rank
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """One matrix per block of a single algebra."""
-
-    algebra: FdAlgebra
-    parts: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.parts) != len(self.algebra.blocks):
-            raise DimensionError(
-                f"expected {len(self.algebra.blocks)} parts, got {len(self.parts)}"
-            )
-        coerced = []
-        for b, p in zip(self.algebra.blocks, self.parts):
-            m = matcore.as_matrix(p)
-            if m.shape != (b, b):
-                raise DimensionError(f"part of shape {m.shape} does not fit block {b}")
-            coerced.append(m)
-        object.__setattr__(self, "parts", tuple(coerced))
-
-    def norm(self) -> float:
-        return max(matcore.operator_norm(p) for p in self.parts)
-
-
 @dataclass(frozen=True)
 class BipartiteElement:
     """Element of A (x) B: one matrix of size n_k*m_l per block pair.

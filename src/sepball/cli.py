@@ -2,8 +2,9 @@
 
 Exit codes: 0 for any computed result (an entangled verdict is a
 result), 2 for undecided verdicts under --strict, 1 for input or solver
-errors.  Identical argv and seed give byte-identical output; nothing is
-read from the environment and no timestamps are emitted.
+errors and failed --verify re-checks.  Identical argv and seed give
+byte-identical output; nothing is read from the environment and no
+timestamps are emitted.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import algebra, cbnorm, jsonio, maps, matcore, sampling, sdp
-from . import separability, theorems
+from . import algebra, cbnorm, jsonio, maps, sampling, sdp
+from . import separability, theorems, verify
 from .errors import SepballError
 
 PROG = "sepball"
@@ -42,23 +41,42 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0,
-                   help="master seed for all stochastic procedures")
-    p.add_argument("--tol-psd", type=_tolerance, default=1e-9,
-                   help="eigenvalue slack for positivity checks")
-    p.add_argument("--tol-gap", type=_tolerance, default=1e-9,
-                   help="duality-gap target for interior-point solves")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads for scans (0 = logical cores)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 2 on undecided verdicts")
-    p.add_argument("--out", default=None, help="write the document here "
-                   "instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--verify", action="store_true",
-                   help="re-check emitted certificates with plain "
-                   "eigendecompositions (no solver) and report the outcome")
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+# Options shared by several subcommands.  Each subcommand declares only
+# the ones it reads; --out, --format and --verify go on every one.
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, default=0,
+                   help="master seed for all stochastic procedures"),
+    "--tol-psd": dict(type=_tolerance, default=separability.PSD_SLACK,
+                      help="eigenvalue slack for positivity checks"),
+    "--tol-gap": dict(type=_tolerance, default=sdp.SdpOptions.gap_tol,
+                      help="duality-gap target for interior-point solves"),
+    "--threads": dict(type=_nonnegative_int, default=0,
+                      help="worker threads for scans (0 = logical cores)"),
+    "--strict": dict(action="store_true",
+                     help="exit 2 on undecided verdicts"),
+    "--out": dict(default=None,
+                  help="write the document here instead of stdout"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--verify": dict(action="store_true",
+                     help="re-check emitted certificates with plain "
+                     "eigendecompositions (no solver) and report the outcome"),
+}
+
+
+def _shared_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags + ("--out", "--format", "--verify"):
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=None,
                    help="amplification level for the lower bound "
                    "(default min(dimIn, dimOut))")
-    _common_flags(p)
+    _shared_flags(p, "--seed", "--tol-gap", "--strict")
 
     p = sub.add_parser("sep-check",
                        help="separability verdict for a positive element")
@@ -86,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated block sizes of the first algebra")
     p.add_argument("--algB", dest="alg_b", default=None,
                    help="comma-separated block sizes of the second algebra")
-    _common_flags(p)
+    _shared_flags(p, "--seed", "--tol-psd", "--strict")
 
     p = sub.add_parser("gamma-scan",
                        help="verdict counts over radii around the identity")
@@ -95,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", required=True,
                    help="comma-separated radii in [0, 1]")
     p.add_argument("--samples", type=int, default=50)
-    _common_flags(p)
+    _shared_flags(p, "--seed", "--tol-psd", "--threads", "--strict")
 
     p = sub.add_parser("eta",
                        help="rank-formula constants with witnesses")
@@ -106,18 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rankB", dest="rank_b", default=None)
     p.add_argument("--samples", type=int, default=6,
                    help="scan samples behind the gamma evidence")
-    _common_flags(p)
+    _shared_flags(p, "--seed")
 
     p = sub.add_parser("kappa",
                        help="pairing-functional bound at the matrix level")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _common_flags(p)
+    _shared_flags(p, "--tol-gap")
 
     p = sub.add_parser("sdp-solve",
                        help="solve a block SDP from a JSON file")
     p.add_argument("--problem", required=True, help="path to the problem JSON")
-    _common_flags(p)
+    _shared_flags(p, "--tol-gap")
 
     return parser
 
@@ -201,174 +219,6 @@ def _float_tok(tok: str, spec: str, flag: str = "--element") -> float:
     return value
 
 
-def _check(name: str, passed: bool, margin: float) -> dict:
-    return {"name": name, "passed": bool(passed), "margin": float(margin)}
-
-
-def _verify_block(checks: list) -> dict:
-    return {"passed": all(c["passed"] for c in checks), "checks": checks}
-
-
-def _verify_cbnorm(res: cbnorm.CbNormResult) -> dict:
-    margin = res.pair.psd_margin()
-    scale = max(1.0, matcore.operator_norm(res.pair.block_matrix()))
-    bound = res.pair.bound()
-    checks = [
-        _check("majorizing-pair-psd", margin >= -1e-7 * scale,
-               margin + 1e-7 * scale),
-        _check("pair-bound-matches-upper",
-               abs(bound - res.upper) <= 1e-6 * max(1.0, res.upper),
-               1e-6 * max(1.0, res.upper) - abs(bound - res.upper)),
-        _check("sandwich-ordered", res.upper >= res.lower - 1e-9,
-               res.upper - res.lower + 1e-9),
-    ]
-    return _verify_block(checks)
-
-
-def _verify_verdict(x: algebra.BipartiteElement, v: separability.SepVerdict,
-                    tol: float) -> dict:
-    checks = []
-    if v.status == "entangled-certified" and v.witness is not None:
-        w = v.witness
-        k, l = w.pair
-        part = x.part(k, l)
-        n = x.pair_dims(k, l)[0]
-        moved = maps.apply_to_second_leg(w.map, part, n)
-        lam = matcore.min_eigenvalue(moved)
-        scale = max(1.0, matcore.operator_norm(part))
-        checks.append(_check("moved-element-negative", lam < -tol * scale,
-                             -lam - tol * scale))
-        checks.append(_check("violation-reproduced",
-                             abs(lam - w.violation) <= 1e-8 * scale,
-                             1e-8 * scale - abs(lam - w.violation)))
-        resid = float(np.linalg.norm(moved @ w.vector - w.violation * w.vector))
-        checks.append(_check("witness-vector-eigen", resid <= 1e-6 * scale,
-                             1e-6 * scale - resid))
-    elif v.status == "separable-certified":
-        for (k, l) in x.pairs():
-            part = x.part(k, l)
-            gamma = matcore.partial_transpose(
-                part, x.pair_dims(k, l), "second")
-            lam = matcore.min_eigenvalue(gamma)
-            scale = max(1.0, matcore.operator_norm(part))
-            checks.append(_check(f"ppt-margin-{k}-{l}", lam >= -tol * scale,
-                                 lam + tol * scale))
-        for (pair, factors) in (v.decomposition or []):
-            if not factors:
-                continue
-            part = x.part(*pair)
-            total = np.zeros_like(part)
-            psd_ok = True
-            for (p, q) in factors:
-                psd_ok &= matcore.min_eigenvalue(p) >= -1e-9
-                psd_ok &= matcore.min_eigenvalue(q) >= -1e-9
-                total = total + matcore.kron(p, q)
-            resid = float(np.max(np.abs(total - part)))
-            checks.append(_check(f"decomposition-{pair[0]}-{pair[1]}",
-                                 psd_ok and resid <= 1e-9, 1e-9 - resid))
-    else:
-        checks.append(_check("undecided-nothing-to-verify", True, 0.0))
-    return _verify_block(checks)
-
-
-def _verify_scan(rep: separability.ScanReport, tol: float) -> dict:
-    checks = []
-    for i, row in enumerate(rep.rows):
-        total = row.separable + row.entangled + row.undecided
-        checks.append(_check(f"row-{i}-counts", total == rep.samples + 1,
-                             float(rep.samples + 1 - total)))
-        directed = algebra.identity_minus(separability._directed_element(
-            rep.alg_a, rep.alg_b, row.radius))
-        _, margins = separability.ppt_check(directed, tol=tol)
-        npt = min(margins) < -tol
-        if row.directed_status == "entangled-certified":
-            checks.append(_check(f"row-{i}-directed-npt", npt,
-                                 -min(margins) - tol))
-        elif row.directed_status == "separable-certified":
-            checks.append(_check(f"row-{i}-directed-ppt", not npt,
-                                 min(margins) + tol))
-    expected = None
-    for row in rep.rows:
-        if row.entangled > 0:
-            expected = row.radius
-            break
-    checks.append(_check("onset-consistent", expected == rep.onset, 0.0))
-    return _verify_block(checks)
-
-
-def _verify_rank(report: theorems.RankFormulaReport, tol: float) -> dict:
-    checks = [
-        _check("eta-gamma-product",
-               report.gamma_value * report.eta_value == 1, 0.0),
-        _check("sandwich-brackets-eta",
-               max(abs(report.eta_sandwich[0] - report.eta_value),
-                   abs(report.eta_sandwich[1] - report.eta_value)) <= 1e-3,
-               1e-3 - max(abs(report.eta_sandwich[0] - report.eta_value),
-                          abs(report.eta_sandwich[1] - report.eta_value))),
-        _check("kappa-below-upper",
-               report.kappa_report.lower <= report.kappa_report.upper + 1e-6,
-               report.kappa_report.upper + 1e-6 - report.kappa_report.lower),
-    ]
-    if report.gamma_upper_witness is not None:
-        _, margins = separability.ppt_check(report.gamma_upper_witness,
-                                            tol=tol)
-        checks.append(_check("extremal-witness-npt", min(margins) < -tol,
-                             -min(margins) - tol))
-    return _verify_block(checks)
-
-
-def _verify_kappa(report: theorems.KappaReport) -> dict:
-    d = report.value
-    phi = maps.embedded_transpose(d, report.m, report.n)
-    y = matcore.embedded_swap(d, report.n, report.m)
-    moved = maps.apply_to_second_leg(phi, y, report.n)
-    w = theorems._pairing_vector(report.n, d)
-    lower = abs(complex(w.conj() @ moved @ w)) / matcore.operator_norm(y)
-    checks = [
-        _check("lower-reproduced", abs(lower - report.lower) <= 1e-12,
-               1e-12 - abs(lower - report.lower)),
-        _check("lower-below-upper", report.lower <= report.upper + 1e-6,
-               report.upper + 1e-6 - report.lower),
-    ]
-    return _verify_block(checks)
-
-
-def _verify_sdp(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> dict:
-    if sol.status not in ("optimal", "maxiter"):
-        return _verify_block([_check("certificate-emitted", True, 0.0)])
-    checks = []
-    b = np.array([rhs for (rhs, _) in problem.constraints])
-    vals = np.array([
-        sum(float(np.real(np.trace(a @ x)))
-            for a, x in zip(mats, sol.primal))
-        for (_, mats) in problem.constraints
-    ])
-    pres = float(np.linalg.norm(vals - b) / (1.0 + np.linalg.norm(b)))
-    checks.append(_check("primal-feasible", pres <= 1e-6, 1e-6 - pres))
-    for j, x in enumerate(sol.primal):
-        lam = matcore.min_eigenvalue(x)
-        scale = max(1.0, matcore.operator_norm(x))
-        checks.append(_check(f"primal-psd-{j}", lam >= -1e-7 * scale,
-                             lam + 1e-7 * scale))
-    for j, z in enumerate(sol.dual_slack):
-        lam = matcore.min_eigenvalue(z)
-        scale = max(1.0, matcore.operator_norm(z))
-        checks.append(_check(f"dual-psd-{j}", lam >= -1e-7 * scale,
-                             lam + 1e-7 * scale))
-    slack_gap = 0.0
-    for j, (c, z) in enumerate(zip(problem.objective, sol.dual_slack)):
-        rebuilt = c.astype(np.complex128).copy()
-        for yi, (_, mats) in zip(sol.dual_y, problem.constraints):
-            rebuilt -= yi * mats[j]
-        slack_gap = max(slack_gap, float(np.max(np.abs(rebuilt - z))))
-    checks.append(_check("dual-slack-consistent", slack_gap <= 1e-6,
-                         1e-6 - slack_gap))
-    gap = abs(sol.primal_obj - sol.dual_obj)
-    rel = gap / max(1.0, abs(sol.primal_obj))
-    checks.append(_check("gap-small", rel <= 1e-6, 1e-6 - rel))
-    return _verify_block(checks)
-
-
 def _csv_scalars(doc: dict) -> str:
     lines = ["key,value"]
     for key in sorted(doc):
@@ -387,9 +237,12 @@ def _csv_scan(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, doc: dict, csv_text: str | None = None) -> None:
+_CSV_WRITERS = {"gamma-scan": _csv_scan}
+
+
+def _emit(args, doc: dict) -> None:
     if args.format == "csv":
-        text = csv_text if csv_text is not None else _csv_scalars(doc)
+        text = _CSV_WRITERS.get(args.command, _csv_scalars)(doc)
     else:
         text = jsonio.dumps(doc)
     if args.out:
@@ -403,38 +256,27 @@ def _sdp_options(args) -> sdp.SdpOptions:
     return sdp.SdpOptions(gap_tol=args.tol_gap, check_independence=False)
 
 
-def _run_cbnorm(args) -> int:
+# Each handler only computes and encodes.  It returns (document, exit
+# code, unsettled, checks): `unsettled` marks an undecided or loose result
+# for --strict, and `checks` holds the --verify re-checks (None if not
+# asked for or nothing to re-check).
+
+def _run_cbnorm(args):
     f = _parse_map_spec(args.map)
     res = cbnorm.cb_norm(f, level=args.level, seed=args.seed,
                          options=_sdp_options(args))
-    doc = jsonio.encode_cbnorm_result(res)
-    code = 0
-    if args.verify:
-        doc["verify"] = _verify_cbnorm(res)
-        if not doc["verify"]["passed"]:
-            code = 1
-    if args.strict and res.loose and code == 0:
-        code = 2
-    _emit(args, doc)
-    return code
+    checks = verify.cbnorm_result(res) if args.verify else None
+    return jsonio.encode_cbnorm_result(res), 0, res.loose, checks
 
 
-def _run_sep_check(args) -> int:
+def _run_sep_check(args):
     x = _parse_element_spec(args)
-    verdict = separability.entanglement_witness(x, tol=args.tol_psd)
-    doc = jsonio.encode_verdict(verdict)
-    code = 0
-    if args.verify:
-        doc["verify"] = _verify_verdict(x, verdict, args.tol_psd)
-        if not doc["verify"]["passed"]:
-            code = 1
-    if args.strict and verdict.status == "undecided" and code == 0:
-        code = 2
-    _emit(args, doc)
-    return code
+    v = separability.entanglement_witness(x, tol=args.tol_psd)
+    checks = verify.verdict(x, v, args.tol_psd) if args.verify else None
+    return jsonio.encode_verdict(v), 0, v.status == "undecided", checks
 
 
-def _run_gamma_scan(args) -> int:
+def _run_gamma_scan(args):
     alg_a = _parse_blocks(args.alg_a, "--algA")
     alg_b = _parse_blocks(args.alg_b, "--algB")
     radii = tuple(_float_tok(tok, args.radii, "--radii")
@@ -443,68 +285,43 @@ def _run_gamma_scan(args) -> int:
     rep = separability.sep_ball_scan(alg_a, alg_b, radii,
                                      samples=args.samples, seed=args.seed,
                                      threads=threads, tol=args.tol_psd)
-    doc = jsonio.encode_scan_report(rep)
-    code = 0
-    if args.verify:
-        doc["verify"] = _verify_scan(rep, args.tol_psd)
-        if not doc["verify"]["passed"]:
-            code = 1
-    if args.strict and code == 0 and any(r.undecided > 0 for r in rep.rows):
-        code = 2
-    _emit(args, doc, csv_text=_csv_scan(doc) if args.format == "csv" else None)
-    return code
+    checks = verify.scan(rep, args.tol_psd) if args.verify else None
+    unsettled = any(r.undecided > 0 for r in rep.rows)
+    return jsonio.encode_scan_report(rep), 0, unsettled, checks
 
 
-def _run_eta(args) -> int:
+def _run_eta(args):
     if args.rank_a is not None or args.rank_b is not None:
         if args.rank_a is None or args.rank_b is None:
             raise SepballError("symbolic mode needs both --rankA and --rankB")
         values = theorems.symbolic_rank_values(args.rank_a, args.rank_b)
-        _emit(args, jsonio.encode_symbolic_values(values))
-        return 0
+        return jsonio.encode_symbolic_values(values), 0, False, None
     if args.alg_a is None or args.alg_b is None:
         raise SepballError("need --algA/--algB or --rankA/--rankB")
     alg_a = _parse_blocks(args.alg_a, "--algA")
     alg_b = _parse_blocks(args.alg_b, "--algB")
     report = theorems.rank_formula_report(alg_a, alg_b, seed=args.seed,
                                           samples=args.samples)
-    doc = jsonio.encode_rank_report(report)
+    checks = verify.rank_report(report) if args.verify else None
     code = 0 if report.passed else 1
-    if args.verify:
-        doc["verify"] = _verify_rank(report, args.tol_psd)
-        if not doc["verify"]["passed"]:
-            code = 1
-    _emit(args, doc)
-    return code
+    return jsonio.encode_rank_report(report), code, False, checks
 
 
-def _run_kappa(args) -> int:
-    lower, report = theorems.kappa_matrix_check(args.n, args.m,
-                                                options=_sdp_options(args))
-    doc = jsonio.encode_kappa_report(report)
+def _run_kappa(args):
+    _, report = theorems.kappa_matrix_check(args.n, args.m,
+                                            options=_sdp_options(args))
+    checks = verify.kappa_report(report) if args.verify else None
     code = 0 if report.passed else 1
-    if args.verify:
-        doc["verify"] = _verify_kappa(report)
-        if not doc["verify"]["passed"]:
-            code = 1
-    _emit(args, doc)
-    return code
+    return jsonio.encode_kappa_report(report), code, False, checks
 
 
-def _run_sdp_solve(args) -> int:
+def _run_sdp_solve(args):
     problem = jsonio.decode_sdp_problem(
         jsonio.load_document(args.problem), path=args.problem)
     sol = sdp.solve(problem, sdp.SdpOptions(gap_tol=args.tol_gap))
-    doc = jsonio.encode_sdp_solution(sol)
-    code = 0
-    if sol.status == "maxiter":
-        code = 1
-    if args.verify:
-        doc["verify"] = _verify_sdp(problem, sol)
-        if not doc["verify"]["passed"]:
-            code = 1
-    _emit(args, doc)
-    return code
+    checks = verify.sdp_solution(problem, sol) if args.verify else None
+    code = 1 if sol.status == "maxiter" else 0
+    return jsonio.encode_sdp_solution(sol), code, False, checks
 
 
 _HANDLERS = {
@@ -524,11 +341,20 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
-    except SepballError as exc:
-        sys.stderr.write(f"{PROG}: error: {exc}\n")
-        return 1
-    except OSError as exc:
+        doc, code, unsettled, checks = _HANDLERS[args.command](args)
+        if checks is not None:
+            passed = all(c.passed for c in checks)
+            doc["verify"] = {
+                "passed": passed,
+                "checks": [jsonio.encode_check(c) for c in checks]}
+            if not passed:
+                code = 1
+        # --strict exists only on the commands that can be unsettled.
+        if unsettled and code == 0 and args.strict:
+            code = 2
+        _emit(args, doc)
+        return code
+    except (SepballError, OSError) as exc:
         sys.stderr.write(f"{PROG}: error: {exc}\n")
         return 1
 

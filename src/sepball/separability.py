@@ -69,16 +69,20 @@ def ppt_check(x: algebra.BipartiteElement, tol: float = PSD_SLACK):
 
     Returns (all_nonnegative, margins) where margins[i] is the smallest
     eigenvalue of the partially transposed part in lexicographic order.
+    A part fails when its margin is below -tol * max(1, ||part||).
     """
+    if not tol >= 0.0:
+        raise DimensionError(f"tolerance must be nonnegative, got {tol}")
     margins = []
     ok = True
     for (k, l) in x.pairs():
         part = x.part(k, l)
-        dims = x.pair_dims(k, l)
-        gamma = matcore.partial_transpose(part, dims, "second")
+        gamma = matcore.partial_transpose(part, x.pair_dims(k, l), "second")
         margin = matcore.min_eigenvalue(gamma)
         margins.append(margin)
-        if margin < -tol * max(1.0, matcore.operator_norm(part)):
+        # The scale is at least one, so only a margin below -tol needs it.
+        if margin < -tol and \
+                margin < -tol * max(1.0, matcore.operator_norm(part)):
             ok = False
     return ok, margins
 

@@ -87,8 +87,7 @@ def eta_certificate(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra):
 
 
 def gamma_certificate(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
-                      samples: int = 6, seed: int = 0, eps: float = 0.05,
-                      threads: int = 1):
+                      samples: int = 6, seed: int = 0, eps: float = 0.05):
     """(exact radius, scan evidence at the radius, entangled witness past it).
 
     The witness is None when min(rank) = 1: the ball then fills the
@@ -97,8 +96,7 @@ def gamma_certificate(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
     d = min(alg_a.rank, alg_b.rank)
     value = Fraction(1, d)
     evidence = separability.sep_ball_scan(
-        alg_a, alg_b, radii=(float(value),), samples=samples, seed=seed,
-        threads=threads)
+        alg_a, alg_b, radii=(float(value),), samples=samples, seed=seed)
     witness = None
     if d >= 2:
         witness = separability.extremal_direction(alg_a, alg_b, eps)

@@ -1,0 +1,197 @@
+"""Solver-free re-checks of the certificates that the reports carry.
+
+One function per report type, each returning a tuple of
+``theorems.NamedCheck`` (margin = tolerance minus deviation, nonnegative
+iff the check passed).  Everything is recomputed from the emitted
+certificate with plain eigendecompositions and norms; no interior-point
+solve runs here.  Scales are max(1, ||.||), so slacks are relative for
+large matrices and absolute for small ones.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import algebra, cbnorm, maps, matcore, sdp, separability, theorems
+from .theorems import NamedCheck
+
+SOLVER_PSD_SLACK = 1e-7  # relative eigenvalue slack on matrices an SDP made
+SOLVER_RESIDUAL_TOL = 1e-6  # agreement of solver-derived numbers
+SANDWICH_ORDER_SLACK = 1e-9  # round-off by which cb lower may exceed upper
+VIOLATION_REPRODUCE_TOL = 1e-8  # witness: recomputed vs reported violation
+EIGENVECTOR_RESIDUAL_TOL = 1e-6  # witness vector: ||M v - lambda v||
+DECOMPOSITION_RESIDUAL_TOL = 1e-9  # max |sum p (x) q - part| entry
+KAPPA_LOWER_REPRODUCE_TOL = 1e-12  # the kappa lower bound, recomputed
+
+
+def _psd_check(name: str, m: np.ndarray) -> NamedCheck:
+    lam = matcore.min_eigenvalue(m)
+    scale = max(1.0, matcore.operator_norm(m))
+    return NamedCheck(name, lam >= -SOLVER_PSD_SLACK * scale,
+                      lam + SOLVER_PSD_SLACK * scale)
+
+
+def cbnorm_result(res: cbnorm.CbNormResult) -> tuple[NamedCheck, ...]:
+    bound = res.pair.bound()
+    bound_tol = SOLVER_RESIDUAL_TOL * max(1.0, res.upper)
+    return (
+        _psd_check("majorizing-pair-psd", res.pair.block_matrix()),
+        NamedCheck("pair-bound-matches-upper",
+                   abs(bound - res.upper) <= bound_tol,
+                   bound_tol - abs(bound - res.upper)),
+        NamedCheck("sandwich-ordered",
+                   res.upper >= res.lower - SANDWICH_ORDER_SLACK,
+                   res.upper - res.lower + SANDWICH_ORDER_SLACK),
+    )
+
+
+def verdict(x: algebra.BipartiteElement, v: separability.SepVerdict,
+            tol: float = separability.PSD_SLACK) -> tuple[NamedCheck, ...]:
+    """``tol`` is the slack ``v`` was computed with."""
+    if v.status == "entangled-certified" and v.witness is not None:
+        w = v.witness
+        part = x.part(*w.pair)
+        n = x.pair_dims(*w.pair)[0]
+        moved = maps.apply_to_second_leg(w.map, part, n)
+        lam = matcore.min_eigenvalue(moved)
+        scale = max(1.0, matcore.operator_norm(part))
+        resid = float(np.linalg.norm(moved @ w.vector
+                                     - w.violation * w.vector))
+        drift = abs(lam - w.violation)
+        drift_tol = VIOLATION_REPRODUCE_TOL * scale
+        return (
+            NamedCheck("moved-element-negative", lam < -tol * scale,
+                       -lam - tol * scale),
+            NamedCheck("violation-reproduced", drift <= drift_tol,
+                       drift_tol - drift),
+            NamedCheck("witness-vector-eigen",
+                       resid <= EIGENVECTOR_RESIDUAL_TOL * scale,
+                       EIGENVECTOR_RESIDUAL_TOL * scale - resid),
+        )
+    if v.status != "separable-certified":
+        return (NamedCheck("undecided-nothing-to-verify", True, 0.0),)
+    checks = []
+    for (k, l) in x.pairs():
+        part = x.part(k, l)
+        gamma = matcore.partial_transpose(part, x.pair_dims(k, l), "second")
+        lam = matcore.min_eigenvalue(gamma)
+        scale = max(1.0, matcore.operator_norm(part))
+        checks.append(NamedCheck(f"ppt-margin-{k}-{l}", lam >= -tol * scale,
+                                 lam + tol * scale))
+    for (pair, factors) in (v.decomposition or []):
+        if not factors:
+            continue
+        part = x.part(*pair)
+        total = np.zeros_like(part)
+        psd_ok = True
+        for (p, q) in factors:
+            psd_ok &= matcore.min_eigenvalue(p) >= -separability.PSD_SLACK
+            psd_ok &= matcore.min_eigenvalue(q) >= -separability.PSD_SLACK
+            total = total + matcore.kron(p, q)
+        resid = float(np.max(np.abs(total - part)))
+        checks.append(NamedCheck(
+            f"decomposition-{pair[0]}-{pair[1]}",
+            psd_ok and resid <= DECOMPOSITION_RESIDUAL_TOL,
+            DECOMPOSITION_RESIDUAL_TOL - resid))
+    return tuple(checks)
+
+
+def scan(rep: separability.ScanReport,
+         tol: float = separability.PSD_SLACK) -> tuple[NamedCheck, ...]:
+    """``tol`` is the slack the scan was computed with."""
+    checks = []
+    for i, row in enumerate(rep.rows):
+        total = row.separable + row.entangled + row.undecided
+        checks.append(NamedCheck(f"row-{i}-counts", total == rep.samples + 1,
+                                 float(rep.samples + 1 - total)))
+        directed = algebra.identity_minus(separability._directed_element(
+            rep.alg_a, rep.alg_b, row.radius))
+        _, margins = separability.ppt_check(directed, tol=tol)
+        npt = min(margins) < -tol
+        if row.directed_status == "entangled-certified":
+            checks.append(NamedCheck(f"row-{i}-directed-npt", npt,
+                                     -min(margins) - tol))
+        elif row.directed_status == "separable-certified":
+            checks.append(NamedCheck(f"row-{i}-directed-ppt", not npt,
+                                     min(margins) + tol))
+    expected = next((row.radius for row in rep.rows if row.entangled > 0),
+                    None)
+    checks.append(NamedCheck("onset-consistent", expected == rep.onset, 0.0))
+    return tuple(checks)
+
+
+def rank_report(report: theorems.RankFormulaReport) -> tuple[NamedCheck, ...]:
+    dev = max(abs(report.eta_sandwich[0] - report.eta_value),
+              abs(report.eta_sandwich[1] - report.eta_value))
+    kappa = report.kappa_report
+    checks = [
+        NamedCheck("eta-gamma-product",
+                   report.gamma_value * report.eta_value == 1, 0.0),
+        NamedCheck("sandwich-brackets-eta", dev <= theorems.CB_BRACKET_TOL,
+                   theorems.CB_BRACKET_TOL - dev),
+        NamedCheck("kappa-below-upper",
+                   kappa.lower <= kappa.upper + theorems.KAPPA_UPPER_SLACK,
+                   kappa.upper + theorems.KAPPA_UPPER_SLACK - kappa.lower),
+    ]
+    if report.gamma_upper_witness is not None:
+        # The extremal witness was certified with the default slack.
+        tol = separability.PSD_SLACK
+        _, margins = separability.ppt_check(report.gamma_upper_witness,
+                                            tol=tol)
+        checks.append(NamedCheck("extremal-witness-npt", min(margins) < -tol,
+                                 -min(margins) - tol))
+    return tuple(checks)
+
+
+def kappa_report(report: theorems.KappaReport) -> tuple[NamedCheck, ...]:
+    d = report.value
+    phi = maps.embedded_transpose(d, report.m, report.n)
+    y = matcore.embedded_swap(d, report.n, report.m)
+    moved = maps.apply_to_second_leg(phi, y, report.n)
+    w = theorems._pairing_vector(report.n, d)
+    lower = abs(complex(w.conj() @ moved @ w)) / matcore.operator_norm(y)
+    return (
+        NamedCheck("lower-reproduced",
+                   abs(lower - report.lower) <= KAPPA_LOWER_REPRODUCE_TOL,
+                   KAPPA_LOWER_REPRODUCE_TOL - abs(lower - report.lower)),
+        NamedCheck("lower-below-upper",
+                   report.lower <= report.upper + theorems.KAPPA_UPPER_SLACK,
+                   report.upper + theorems.KAPPA_UPPER_SLACK - report.lower),
+    )
+
+
+def sdp_solution(problem: sdp.SdpProblem,
+                 sol: sdp.SdpSolution) -> tuple[NamedCheck, ...]:
+    """Primal feasibility, PSD blocks, dual slack and gap of a solution.
+
+    Solutions without an optimal or last iterate (infeasible, unbounded)
+    carry no certificate beyond their status.
+    """
+    if sol.status not in ("optimal", "maxiter"):
+        return (NamedCheck("certificate-emitted", True, 0.0),)
+    b = np.array([rhs for (rhs, _) in problem.constraints])
+    vals = np.array([
+        sum(float(np.real(np.trace(a @ x)))
+            for a, x in zip(mats, sol.primal))
+        for (_, mats) in problem.constraints
+    ])
+    pres = float(np.linalg.norm(vals - b) / (1.0 + np.linalg.norm(b)))
+    checks = [NamedCheck("primal-feasible", pres <= SOLVER_RESIDUAL_TOL,
+                         SOLVER_RESIDUAL_TOL - pres)]
+    checks += [_psd_check(f"primal-psd-{j}", x)
+               for j, x in enumerate(sol.primal)]
+    checks += [_psd_check(f"dual-psd-{j}", z)
+               for j, z in enumerate(sol.dual_slack)]
+    slack_gap = 0.0
+    for j, (c, z) in enumerate(zip(problem.objective, sol.dual_slack)):
+        rebuilt = c.astype(np.complex128).copy()
+        for yi, (_, mats) in zip(sol.dual_y, problem.constraints):
+            rebuilt -= yi * mats[j]
+        slack_gap = max(slack_gap, float(np.max(np.abs(rebuilt - z))))
+    checks.append(NamedCheck("dual-slack-consistent",
+                             slack_gap <= SOLVER_RESIDUAL_TOL,
+                             SOLVER_RESIDUAL_TOL - slack_gap))
+    rel = abs(sol.primal_obj - sol.dual_obj) / max(1.0, abs(sol.primal_obj))
+    checks.append(NamedCheck("gap-small", rel <= SOLVER_RESIDUAL_TOL,
+                             SOLVER_RESIDUAL_TOL - rel))
+    return tuple(checks)

@@ -20,10 +20,6 @@ def test_algebra_validation():
         algebra.FdAlgebra((40, 30))
 
 
-def test_rank_helper():
-    assert algebra.rank(algebra.FdAlgebra((1, 5, 2))) == 5
-
-
 def _element(seed=0):
     rng = np.random.default_rng(seed)
     alg_a = algebra.FdAlgebra((2, 3))

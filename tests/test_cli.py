@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sepball import cli, jsonio, maps, sdp
+from sepball import cli, jsonio, maps, sdp, theorems, verify
 
 
 def _run(capsys, *argv):
@@ -160,16 +160,77 @@ def test_bad_numbers_are_one_line_errors(capsys, argv):
     assert err.startswith("sepball: error: ") and err.count("\n") == 1
 
 
+_TOLERANCE_ARGV = {
+    # a NaN slack used to certify this entangled element as separable
+    "--tol-psd": ("sep-check", "--element", "extremal:0.05", "--dims", "2x2"),
+    "--tol-gap": ("cbnorm", "--map", "transpose:2"),
+}
+
+
 @pytest.mark.parametrize("flag,value", [("--tol-psd", "nan"),
                                         ("--tol-psd", "-1"),
                                         ("--tol-gap", "inf")])
 def test_bad_tolerance_is_usage_error(capsys, flag, value):
-    # a NaN slack used to certify this entangled element as separable
-    code, out, err = _run(capsys, "sep-check", "--element", "extremal:0.05",
-                          "--dims", "2x2", flag, value)
+    code, out, err = _run(capsys, *_TOLERANCE_ARGV[flag], flag, value)
     assert code == 1
     assert out == ""
     assert f"argument {flag}" in err.splitlines()[-1]
+
+
+_BASE_ARGV = {
+    "cbnorm": ("cbnorm", "--map", "transpose:2"),
+    "sep-check": ("sep-check", "--element", "extremal:0.05", "--dims", "2x2"),
+    "gamma-scan": ("gamma-scan", "--algA", "2", "--algB", "2",
+                   "--radii", "0.4", "--samples", "1"),
+    "eta": ("eta", "--rankA", "2", "--rankB", "3"),
+    "kappa": ("kappa", "--n", "2", "--m", "2"),
+    "sdp-solve": ("sdp-solve", "--problem", "unused.json"),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("cbnorm", "--tol-psd"), ("cbnorm", "--threads"),
+    ("sep-check", "--tol-gap"), ("sep-check", "--threads"),
+    ("gamma-scan", "--tol-gap"),
+    ("eta", "--tol-gap"), ("eta", "--threads"), ("eta", "--strict"),
+    ("eta", "--tol-psd"),
+    ("kappa", "--seed"), ("kappa", "--tol-psd"), ("kappa", "--threads"),
+    ("kappa", "--strict"),
+    ("sdp-solve", "--seed"), ("sdp-solve", "--tol-psd"),
+    ("sdp-solve", "--threads"), ("sdp-solve", "--strict"),
+])
+def test_flags_a_command_does_not_read_are_refused(capsys, command, flag):
+    value = () if flag == "--strict" else ("1",)
+    code, out, err = _run(capsys, *_BASE_ARGV[command], flag, *value)
+    assert code == 1
+    assert out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith(f"sepball: error: unrecognized arguments: {flag}")
+    assert err.count("error:") == 1
+
+
+@pytest.mark.parametrize("value", ["-4", "two"])
+def test_bad_thread_count_is_usage_error(capsys, value):
+    code, out, err = _run(capsys, *_BASE_ARGV["gamma-scan"],
+                          "--threads", value)
+    assert code == 1
+    assert out == ""
+    last = err.splitlines()[-1]
+    assert "argument --threads: expected a nonnegative integer" in last
+    assert err.count("error:") == 1
+
+
+def test_failed_verify_exits_one_before_strict(capsys, monkeypatch):
+    failing = (theorems.NamedCheck("forced-failure", False, -1.0),)
+    monkeypatch.setattr(verify, "cbnorm_result", lambda res: failing)
+    code, out, _ = _run(capsys, "cbnorm", "--map", "transpose:2",
+                        "--level", "1", "--strict", "--verify")
+    assert code == 1
+    assert json.loads(out)["verify"] == {
+        "passed": False,
+        "checks": [{"name": "forced-failure", "passed": False,
+                    "margin": -1.0}],
+    }
 
 
 def test_missing_file_is_error(capsys):

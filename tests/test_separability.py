@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepball import algebra, cli, maps, matcore, sampling, sdp, separability
+from sepball import algebra, maps, matcore, sampling, sdp, separability, verify
 from sepball.errors import DimensionError, PositivityError
 
 
@@ -32,6 +32,27 @@ def test_ppt_check_identity():
     ok, margins = separability.ppt_check(x)
     assert ok
     assert all(abs(m - 1.0) < 1e-12 for m in margins)
+
+
+def test_ppt_check_scales_tolerance_and_skips_needless_norms(monkeypatch):
+    calls = []
+    norm = matcore.operator_norm
+    monkeypatch.setattr(matcore, "operator_norm",
+                        lambda m: calls.append(1) or norm(m))
+    # margin -1 passes -tol * ||part|| = -10 but not -tol: the norm decides
+    part = 1e4 * np.eye(4) - (1e4 + 1.0) * matcore.swap_operator(2) / 2
+    big = _single(M2, M2, part)
+    ok, margins = separability.ppt_check(big, tol=1e-3)
+    assert abs(margins[0] + 1.0) < 1e-9 and ok and len(calls) == 1
+    calls.clear()
+    ok, _ = separability.ppt_check(algebra.bipartite_identity(M2, M3))
+    assert ok and calls == []
+
+
+@pytest.mark.parametrize("tol", [-1e-9, float("nan")])
+def test_ppt_check_refuses_bad_tolerance(tol):
+    with pytest.raises(DimensionError):
+        separability.ppt_check(algebra.bipartite_identity(M2, M2), tol=tol)
 
 
 def _witness_problem(part, dims):
@@ -92,8 +113,8 @@ def test_closed_form_witness_without_solver(dims, monkeypatch):
             w = verdict.witness.witness_matrix
             assert abs(np.trace(w) - 1.0) <= 1e-12
             assert abs(np.trace(w @ part) - report.witness_value) <= 1e-12
-            check = cli._verify_verdict(x, verdict, separability.PSD_SLACK)
-            assert check["passed"], check
+            checks = verify.verdict(x, verdict)
+            assert all(c.passed for c in checks), checks
     if min(dims) >= 2:
         assert entangled >= 1
     else:
