@@ -34,9 +34,11 @@ BATTERY = [
     ["eta", "--algA", "2,3", "--algB", "4", "--samples", "2"],
     ["eta", "--algA", "1,1", "--algB", "3", "--samples", "2"],
     ["eta", "--rankA", "inf", "--rankB", "5"],
+    ["eta", "--algA", "8", "--algB", "8", "--samples", "2", "--verify"],
     ["kappa", "--n", "2", "--m", "2", "--verify"],
     ["kappa", "--n", "2", "--m", "5", "--verify"],
     ["kappa", "--n", "3", "--m", "3", "--verify"],
+    ["kappa", "--n", "12", "--m", "12", "--verify"],
 ]
 
 

@@ -14,6 +14,10 @@ contractions, maximized by alternating polar-decomposition updates.
 The cb norm of a map into M_m is attained at amplification level
 min(dim_in, dim_out), so the default level closes the sandwich for
 the maps treated here.
+
+The embedded corner transpose has both bounds in closed form
+(``embedded_transpose_norm``); the program and the search serve every
+other map.
 """
 
 from __future__ import annotations
@@ -198,6 +202,13 @@ def amplification_norm(psi: maps.LinearMapRep, k: int, seed: int = 0,
     return best_value, best_x
 
 
+def _sandwich(lower: float, upper: float, pair: MajorizingPair,
+              witness: np.ndarray, level: int) -> CbNormResult:
+    loose = (upper - lower) > LOOSE_RELATIVE_WIDTH * max(upper, 1e-12)
+    return CbNormResult(lower=lower, upper=upper, pair=pair,
+                        witness=witness, level=level, loose=loose)
+
+
 def cb_norm(psi: maps.LinearMapRep, level: int | None = None, seed: int = 0,
             budget: maps.SearchBudget = maps.SearchBudget(32, 300),
             options: sdp.SdpOptions | None = None) -> CbNormResult:
@@ -210,6 +221,27 @@ def cb_norm(psi: maps.LinearMapRep, level: int | None = None, seed: int = 0,
     k = level if level is not None else min(psi.dim_in, psi.dim_out)
     lower, witness = amplification_norm(psi, k, seed=seed, budget=budget)
     upper, pair = cb_upper_sdp(psi, options=options)
-    loose = (upper - lower) > LOOSE_RELATIVE_WIDTH * max(upper, 1e-12)
-    return CbNormResult(lower=lower, upper=upper, pair=pair,
-                        witness=witness, level=k, loose=loose)
+    return _sandwich(lower, upper, pair, witness, k)
+
+
+def embedded_transpose_norm(d: int, n: int, m: int) -> CbNormResult:
+    """Closed-form sandwich for ``maps.embedded_transpose(d, n, m)``.
+
+    Both bounds equal the corner size d, with no solve and no search.
+    Upper: phi_1 = phi_2 = the corner projector P (Choi matrix diagonal,
+    ones at i*m + j for i, j < d).  The Choi matrix F of the map is the
+    corner swap, so F = P F P and F^2 = P, and [[P, F], [F, P]] >= 0
+    because it is unitarily equivalent to (P + F) (+) (P - F).  Each
+    unit image is d times the corner identity, so the pair bound is d.
+    Lower: (Id_k (x) psi)(S) = d |Omega><Omega| for the corner swap S of
+    C^k (x) C^n, a contraction, at level k = min(n, m).
+    """
+    psi = maps.embedded_transpose(d, n, m)
+    corner = np.zeros((n, m))
+    corner[:d, :d] = 1.0
+    p = maps.LinearMapRep(n, m, np.diag(corner.ravel()).astype(np.complex128))
+    pair = MajorizingPair(phi1=p, phi2=p, target=psi)
+    k = min(n, m)
+    witness = matcore.embedded_swap(d, k, n)
+    lower = matcore.operator_norm(maps.apply_to_second_leg(psi, witness, k))
+    return _sandwich(lower, pair.bound(), pair, witness, k)

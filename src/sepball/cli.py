@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pairing-functional bound at the matrix level")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _shared_flags(p, "--tol-gap")
+    _shared_flags(p)
 
     p = sub.add_parser("sdp-solve",
                        help="solve a block SDP from a JSON file")
@@ -308,8 +308,7 @@ def _run_eta(args):
 
 
 def _run_kappa(args):
-    _, report = theorems.kappa_matrix_check(args.n, args.m,
-                                            options=_sdp_options(args))
+    _, report = theorems.kappa_matrix_check(args.n, args.m)
     checks = verify.kappa_report(report) if args.verify else None
     code = 0 if report.passed else 1
     return jsonio.encode_kappa_report(report), code, False, checks

@@ -243,7 +243,8 @@ def encode_rank_report(rep: theorems.RankFormulaReport) -> dict:
         "gammaValue": _fraction(rep.gamma_value),
         "kappaValue": rep.kappa_value,
         "etaWitness": encode_map(rep.eta_witness),
-        "etaSandwich": [float(rep.eta_sandwich[0]), float(rep.eta_sandwich[1])],
+        "etaSandwich": [float(rep.eta_sandwich.lower),
+                        float(rep.eta_sandwich.upper)],
         "gammaEvidence": encode_scan_report(rep.gamma_evidence),
         "kappa": encode_kappa_report(rep.kappa_report),
         "checks": [encode_check(c) for c in rep.checks],

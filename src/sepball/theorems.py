@@ -12,8 +12,8 @@ to inversion:
 
 Each evaluator returns the exact value (rational arithmetic where the
 identity eta * gamma = 1 is claimed) together with constructive
-witnesses: an embedded transpose map whose measured cb-norm sandwich
-brackets eta, a scan showing no entanglement inside radius gamma, an
+witnesses: an embedded transpose map whose closed-form cb-norm
+sandwich brackets eta, a scan showing no entanglement inside radius gamma, an
 extremal element entangled just past it, and the swap pairing that
 pushes the kappa functional to its bound.
 """
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import algebra, cbnorm, maps, matcore, separability, sdp
+from . import algebra, cbnorm, maps, matcore, separability
 from .errors import DimensionError, SizeCapError
 
 MATRIX_CAP = 12
@@ -62,7 +62,7 @@ class RankFormulaReport:
     gamma_value: Fraction
     kappa_value: int
     eta_witness: maps.LinearMapRep
-    eta_sandwich: tuple[float, float]
+    eta_sandwich: cbnorm.CbNormResult
     gamma_evidence: separability.ScanReport
     gamma_upper_witness: algebra.BipartiteElement | None
     kappa_report: KappaReport
@@ -110,8 +110,7 @@ def _pairing_vector(n: int, d: int) -> np.ndarray:
     return w
 
 
-def kappa_matrix_check(n: int, m: int,
-                       options: sdp.SdpOptions | None = None):
+def kappa_matrix_check(n: int, m: int):
     """Lower-bound the best unital separable-positive functional on M_n (x) M_m.
 
     The functional is w* (Id (x) phi)(.) w with phi the embedded corner
@@ -119,7 +118,8 @@ def kappa_matrix_check(n: int, m: int,
     vector; it is unital and positive on separable elements, and the
     embedded swap y (self-adjoint, norm one) drives it to min(n, m).
     Returns (lower bound, report); the report also carries the cb-norm
-    upper bound |Phi(y)| <= ||phi||_cb.
+    upper bound |Phi(y)| <= ||phi||_cb, certified in closed form by the
+    corner majorizing pair of ``cbnorm.embedded_transpose_norm``.
     """
     if n < 1 or m < 1:
         raise DimensionError(f"matrix sizes must be positive, got ({n}, {m})")
@@ -128,7 +128,8 @@ def kappa_matrix_check(n: int, m: int,
             f"matrix sizes ({n}, {m}) exceed the kappa cap {MATRIX_CAP}"
         )
     d = min(n, m)
-    phi = maps.embedded_transpose(d, m, n)
+    cb = cbnorm.embedded_transpose_norm(d, m, n)
+    phi = cb.pair.target
     y = matcore.embedded_swap(d, n, m)
     w = _pairing_vector(n, d)
 
@@ -142,7 +143,7 @@ def kappa_matrix_check(n: int, m: int,
     unit_val = complex(w.conj() @ maps.apply_to_second_leg(phi, ident, n) @ w)
 
     lower = abs(phi_y) / y_norm
-    upper, _ = cbnorm.cb_upper_sdp(phi, options=options)
+    upper = cb.upper
 
     checks = (
         NamedCheck("pairing-element-self-adjoint", herm_defect <= 1e-12,
@@ -179,7 +180,8 @@ def rank_formula_report(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
                    -abs(float(product) - 1.0)),
     ]
 
-    sandwich = cbnorm.cb_norm(eta_witness, seed=seed)
+    sandwich = cbnorm.embedded_transpose_norm(eta_value, alg_a.rank,
+                                              alg_b.rank)
     dev = max(abs(sandwich.lower - eta_value), abs(sandwich.upper - eta_value))
     checks.append(NamedCheck("eta-witness-cb-bracket",
                              dev <= CB_BRACKET_TOL, CB_BRACKET_TOL - dev))
@@ -204,7 +206,7 @@ def rank_formula_report(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
         gamma_value=gamma_value,
         kappa_value=min(alg_a.rank, alg_b.rank),
         eta_witness=eta_witness,
-        eta_sandwich=(sandwich.lower, sandwich.upper),
+        eta_sandwich=sandwich,
         gamma_evidence=evidence,
         gamma_upper_witness=gamma_witness,
         kappa_report=kappa_report,
@@ -231,13 +233,18 @@ def symbolic_rank_values(rank_a, rank_b) -> SymbolicRankValues:
     """
     ranks = []
     for r in (rank_a, rank_b):
-        if r in ("inf", "infinity") or (isinstance(r, float) and math.isinf(r)):
+        if r in ("inf", "infinity") or r == math.inf:
             ranks.append(math.inf)
-        else:
+            continue
+        try:
             ri = int(r)
-            if ri < 1:
-                raise DimensionError(f"rank must be >= 1 or infinite, got {r}")
-            ranks.append(ri)
+        except (TypeError, ValueError, OverflowError):
+            ri = 0
+        # int() truncates 2.5 to 2; only integral numbers are ranks.
+        if ri < 1 or (not isinstance(r, str) and ri != r):
+            raise DimensionError(
+                f"rank must be a positive integer or 'inf', got {r!r}")
+        ranks.append(ri)
     ra, rb = ranks
     eta = min(ra, rb)
     gamma = 0.0 if math.isinf(eta) else float(Fraction(1, int(eta)))

@@ -21,7 +21,7 @@ SANDWICH_ORDER_SLACK = 1e-9  # round-off by which cb lower may exceed upper
 VIOLATION_REPRODUCE_TOL = 1e-8  # witness: recomputed vs reported violation
 EIGENVECTOR_RESIDUAL_TOL = 1e-6  # witness vector: ||M v - lambda v||
 DECOMPOSITION_RESIDUAL_TOL = 1e-9  # max |sum p (x) q - part| entry
-KAPPA_LOWER_REPRODUCE_TOL = 1e-12  # the kappa lower bound, recomputed
+LOWER_REPRODUCE_TOL = 1e-12  # a closed-form lower bound, recomputed
 
 
 def _psd_check(name: str, m: np.ndarray) -> NamedCheck:
@@ -31,14 +31,20 @@ def _psd_check(name: str, m: np.ndarray) -> NamedCheck:
                       lam + SOLVER_PSD_SLACK * scale)
 
 
-def cbnorm_result(res: cbnorm.CbNormResult) -> tuple[NamedCheck, ...]:
-    bound = res.pair.bound()
-    bound_tol = SOLVER_RESIDUAL_TOL * max(1.0, res.upper)
+def _pair_checks(pair: cbnorm.MajorizingPair,
+                 upper: float) -> tuple[NamedCheck, ...]:
+    bound = pair.bound()
+    bound_tol = SOLVER_RESIDUAL_TOL * max(1.0, upper)
     return (
-        _psd_check("majorizing-pair-psd", res.pair.block_matrix()),
+        _psd_check("majorizing-pair-psd", pair.block_matrix()),
         NamedCheck("pair-bound-matches-upper",
-                   abs(bound - res.upper) <= bound_tol,
-                   bound_tol - abs(bound - res.upper)),
+                   abs(bound - upper) <= bound_tol,
+                   bound_tol - abs(bound - upper)),
+    )
+
+
+def cbnorm_result(res: cbnorm.CbNormResult) -> tuple[NamedCheck, ...]:
+    return _pair_checks(res.pair, res.upper) + (
         NamedCheck("sandwich-ordered",
                    res.upper >= res.lower - SANDWICH_ORDER_SLACK,
                    res.upper - res.lower + SANDWICH_ORDER_SLACK),
@@ -120,15 +126,29 @@ def scan(rep: separability.ScanReport,
     return tuple(checks)
 
 
+def _lower_check(f: maps.LinearMapRep, witness: np.ndarray, level: int,
+                 lower: float) -> NamedCheck:
+    """||(Id_level (x) f)(witness)|| reproduces ``lower``; witness a contraction."""
+    value = matcore.operator_norm(maps.apply_to_second_leg(f, witness, level))
+    tol = LOWER_REPRODUCE_TOL * max(1.0, lower)
+    margin = min(tol - abs(value - lower),
+                 1.0 + LOWER_REPRODUCE_TOL - matcore.operator_norm(witness))
+    return NamedCheck("lower-reproduced", margin >= 0, margin)
+
+
 def rank_report(report: theorems.RankFormulaReport) -> tuple[NamedCheck, ...]:
-    dev = max(abs(report.eta_sandwich[0] - report.eta_value),
-              abs(report.eta_sandwich[1] - report.eta_value))
+    sandwich = report.eta_sandwich
+    dev = max(abs(sandwich.lower - report.eta_value),
+              abs(sandwich.upper - report.eta_value))
     kappa = report.kappa_report
     checks = [
         NamedCheck("eta-gamma-product",
                    report.gamma_value * report.eta_value == 1, 0.0),
         NamedCheck("sandwich-brackets-eta", dev <= theorems.CB_BRACKET_TOL,
                    theorems.CB_BRACKET_TOL - dev),
+        *cbnorm_result(sandwich),
+        _lower_check(report.eta_witness, sandwich.witness, sandwich.level,
+                     sandwich.lower),
         NamedCheck("kappa-below-upper",
                    kappa.lower <= kappa.upper + theorems.KAPPA_UPPER_SLACK,
                    kappa.upper + theorems.KAPPA_UPPER_SLACK - kappa.lower),
@@ -145,18 +165,19 @@ def rank_report(report: theorems.RankFormulaReport) -> tuple[NamedCheck, ...]:
 
 def kappa_report(report: theorems.KappaReport) -> tuple[NamedCheck, ...]:
     d = report.value
-    phi = maps.embedded_transpose(d, report.m, report.n)
+    pair = cbnorm.embedded_transpose_norm(d, report.m, report.n).pair
     y = matcore.embedded_swap(d, report.n, report.m)
-    moved = maps.apply_to_second_leg(phi, y, report.n)
+    moved = maps.apply_to_second_leg(pair.target, y, report.n)
     w = theorems._pairing_vector(report.n, d)
     lower = abs(complex(w.conj() @ moved @ w)) / matcore.operator_norm(y)
     return (
         NamedCheck("lower-reproduced",
-                   abs(lower - report.lower) <= KAPPA_LOWER_REPRODUCE_TOL,
-                   KAPPA_LOWER_REPRODUCE_TOL - abs(lower - report.lower)),
+                   abs(lower - report.lower) <= LOWER_REPRODUCE_TOL,
+                   LOWER_REPRODUCE_TOL - abs(lower - report.lower)),
         NamedCheck("lower-below-upper",
                    report.lower <= report.upper + theorems.KAPPA_UPPER_SLACK,
                    report.upper + theorems.KAPPA_UPPER_SLACK - report.lower),
+        *_pair_checks(pair, report.upper),
     )
 
 

@@ -94,3 +94,19 @@ def test_embedded_transpose_cb_norm():
     res = cbnorm.cb_norm(f)
     assert abs(res.upper - 2.0) < 1e-5
     assert res.lower >= 2.0 - 1e-6
+
+
+@pytest.mark.parametrize("d,n,m", [(1, 1, 2), (2, 2, 2), (2, 2, 3),
+                                   (2, 3, 2), (3, 3, 4), (4, 4, 4)])
+def test_embedded_transpose_closed_form_matches_sdp(d, n, m):
+    res = cbnorm.embedded_transpose_norm(d, n, m)
+    psi = maps.embedded_transpose(d, n, m)
+    assert np.array_equal(res.pair.target.choi, psi.choi)
+    sdp_upper, _ = cbnorm.cb_upper_sdp(psi)
+    assert abs(res.upper - sdp_upper) <= 1e-6 * d
+    assert abs(res.lower - d) <= 1e-12
+    searched, _ = cbnorm.amplification_norm(psi, min(n, m))
+    assert res.lower >= searched - 1e-9
+    assert res.pair.psd_margin() >= -1e-12
+    assert matcore.operator_norm(res.witness) <= 1.0 + 1e-12
+    assert res.level == min(n, m) and not res.loose

@@ -94,6 +94,15 @@ def test_eta_symbolic_infinite(capsys):
     assert doc["deskVerifiable"] is False
 
 
+@pytest.mark.parametrize("rank", ["x", "2.5", "1e400", "-inf"])
+def test_eta_symbolic_bad_rank_is_error(capsys, rank):
+    code, out, err = _run(capsys, "eta", f"--rankA={rank}", "--rankB", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sepball: error: rank must be a positive integer")
+    assert len(err.splitlines()) == 1
+
+
 def test_kappa(capsys):
     code, out, _ = _run(capsys, "kappa", "--n", "2", "--m", "3", "--verify")
     assert code == 0
@@ -195,7 +204,7 @@ _BASE_ARGV = {
     ("eta", "--tol-gap"), ("eta", "--threads"), ("eta", "--strict"),
     ("eta", "--tol-psd"),
     ("kappa", "--seed"), ("kappa", "--tol-psd"), ("kappa", "--threads"),
-    ("kappa", "--strict"),
+    ("kappa", "--strict"), ("kappa", "--tol-gap"),
     ("sdp-solve", "--seed"), ("sdp-solve", "--tol-psd"),
     ("sdp-solve", "--threads"), ("sdp-solve", "--strict"),
 ])

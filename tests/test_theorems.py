@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sepball import algebra, cbnorm, matcore, separability, theorems
+from sepball import algebra, cbnorm, matcore, sdp, separability, theorems, verify
 from sepball.errors import DimensionError
 
 
@@ -107,8 +107,32 @@ def test_symbolic_values_infinite():
 def test_symbolic_values_reject_bad_rank():
     with pytest.raises(DimensionError):
         theorems.symbolic_rank_values(0, 2)
+    for bad in ("x", "2.5", "1e400", "-inf", 2.5, -math.inf, math.nan):
+        with pytest.raises(DimensionError):
+            theorems.symbolic_rank_values(bad, 2)
 
 
 def test_pairing_vector_is_unit():
     w = theorems._pairing_vector(3, 2)
     assert abs(np.linalg.norm(w) - 1.0) < 1e-12
+
+
+def test_eta_and_kappa_certificates_without_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eta/kappa certificates must not solve or search")
+    monkeypatch.setattr(sdp, "solve", refuse)
+    monkeypatch.setattr(cbnorm, "amplification_norm", refuse)
+    for alg_a, alg_b in ((M4, algebra.FdAlgebra((1, 4))), (M23, M4),
+                         (algebra.FdAlgebra((1, 1)), algebra.FdAlgebra((3,)))):
+        rep = theorems.rank_formula_report(alg_a, alg_b, samples=1)
+        assert rep.passed
+        d = rep.eta_value
+        assert abs(rep.eta_sandwich.lower - d) <= 1e-12
+        assert abs(rep.eta_sandwich.upper - d) <= 1e-12
+        assert all(c.passed for c in verify.rank_report(rep))
+        assert all(c.passed for c in verify.kappa_report(rep.kappa_report))
+    for n, m in ((5, 5), (12, 12)):
+        _, report = theorems.kappa_matrix_check(n, m)
+        assert report.passed
+        assert abs(report.upper - n) <= 1e-12
+        assert all(c.passed for c in verify.kappa_report(report))

@@ -51,10 +51,15 @@ def test_rank_and_kappa_report_checks():
         algebra.FdAlgebra((2,)), algebra.FdAlgebra((1, 2)), samples=1)
     checks = verify.rank_report(report)
     assert _names(checks) == ["eta-gamma-product", "sandwich-brackets-eta",
-                              "kappa-below-upper", "extremal-witness-npt"]
+                              "majorizing-pair-psd",
+                              "pair-bound-matches-upper", "sandwich-ordered",
+                              "lower-reproduced", "kappa-below-upper",
+                              "extremal-witness-npt"]
     assert all(c.passed for c in checks)
     checks = verify.kappa_report(report.kappa_report)
-    assert _names(checks) == ["lower-reproduced", "lower-below-upper"]
+    assert _names(checks) == ["lower-reproduced", "lower-below-upper",
+                              "majorizing-pair-psd",
+                              "pair-bound-matches-upper"]
     assert all(c.passed for c in checks)
 
 
