@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sepball import cli, jsonio, sdp
+from sepball import cli, jsonio, maps, sdp
 
 BATTERY = [
     ["cbnorm", "--map", "transpose:2"],
@@ -22,6 +22,8 @@ BATTERY = [
     ["cbnorm", "--map", "transpose:4"],
     ["cbnorm", "--map", "identity:3", "--verify"],
     ["cbnorm", "--map", "reduction:2"],
+    ["cbnorm", "--map", "reduction:3", "--verify"],
+    ["cbnorm", "--map", "transpose:3", "--verify"],
     ["sep-check", "--element", "id_minus:swap:0.5", "--dims", "2x2", "--verify"],
     ["sep-check", "--element", "extremal:0.05", "--dims", "2x2", "--verify"],
     ["sep-check", "--element", "gue:0.3", "--dims", "2x3", "--seed", "7"],
@@ -51,10 +53,21 @@ def _write_problem(path: Path) -> None:
     path.write_text(jsonio.dumps(jsonio.encode_sdp_problem(prob)))
 
 
-def run_battery(outdir: Path, problem: Path) -> list[bytes]:
+def _write_map(path: Path) -> None:
+    """A fixed general (not Hermitian-preserving) map M_3 -> M_4."""
+    rng = np.random.default_rng(0x34)
+    choi = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    f = maps.LinearMapRep(3, 4, choi)
+    path.write_text(jsonio.dumps(jsonio.encode_map(f)))
+
+
+def run_battery(outdir: Path, inputs: Path) -> list[bytes]:
     outputs = []
-    for i, argv in enumerate(BATTERY + [["sdp-solve", "--problem",
-                                         str(problem), "--verify"]]):
+    file_argv = [
+        ["sdp-solve", "--problem", str(inputs / "problem.json"), "--verify"],
+        ["cbnorm", "--map", f"file:{inputs / 'map34.json'}", "--verify"],
+    ]
+    for i, argv in enumerate(BATTERY + file_argv):
         out = outdir / f"run{i:02d}.json"
         t0 = time.monotonic()
         code = cli.dispatch(argv + ["--out", str(out)])
@@ -84,16 +97,16 @@ def main() -> None:
     t0 = time.monotonic()
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
-        problem = base / "problem.json"
-        _write_problem(problem)
+        _write_problem(base / "problem.json")
+        _write_map(base / "map34.json")
         dir_a = base / "a"
         dir_b = base / "b"
         dir_a.mkdir()
         dir_b.mkdir()
         print("-- first run --")
-        first = run_battery(dir_a, problem)
+        first = run_battery(dir_a, base)
         print("-- second run --")
-        second = run_battery(dir_b, problem)
+        second = run_battery(dir_b, base)
         if args.keep:
             keep = Path(args.keep)
             keep.mkdir(parents=True, exist_ok=True)

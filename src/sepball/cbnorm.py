@@ -7,17 +7,26 @@ phi_1, phi_2 with unit images of norm at most t such that
      [ Choi(psi)*,  Choi(phi_2)]]  >=  0.
 
 Any such pair certifies ||psi||_cb <= sqrt(||phi_1|| ||phi_2||) <= t, and
-the optimal t never exceeds min(dim_in, dim_out) * ||psi||.
+the optimal t never exceeds min(dim_in, dim_out) * ||psi||.  The reported
+upper bound is that pair bound, after the solver's pair is shifted just
+enough to make its block matrix positive semidefinite.
 
-Lower bound: the norm of Id_k (x) psi on seeded random and directed
-contractions, maximized by alternating polar-decomposition updates.
-The cb norm of a map into M_m is attained at amplification level
-min(dim_in, dim_out), so the default level closes the sandwich for
-the maps treated here.
+Lower bound: the norm of Id_k (x) psi on an explicit contraction.  By
+default the contraction is read off the dual slack of the same program,
+
+    Z = [[ 1_n (x) rho_1, X ], [ X*, 1_n (x) rho_2 ]]  >=  0
+
+(the rho_0/rho_1 form of Watrous, "Simpler semidefinite programs for
+completely bounded norms", CJTCS 2013): the contraction
+(1 (x) rho_1)^{-1/2} X (1 (x) rho_2)^{-1/2}, reshuffled, attains the cb
+norm at level k = dim_out, so the sandwich closes to solver accuracy
+with no search.  An explicit ``level`` instead runs the seeded
+alternating search of ``amplification_norm`` over levels 1..k.  Either
+way the lower bound is recomputed from the contraction itself, so it is
+rigorous at any solver accuracy.
 
 The embedded corner transpose has both bounds in closed form
-(``embedded_transpose_norm``); the program and the search serve every
-other map.
+(``embedded_transpose_norm``); the program serves every other map.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from . import matcore, maps, sampling, sdp
 from .errors import ConvergenceError, DimensionError
 
 LOOSE_RELATIVE_WIDTH = 1e-3
+PINV_RELATIVE_CUTOFF = 1e-12  # eigenvalues of rho_j below this share are 0
 
 
 @dataclass(frozen=True)
@@ -113,9 +123,66 @@ def _upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
                           constraints=constraints)
 
 
+def _certified_pair(psi: maps.LinearMapRep,
+                    sol: sdp.SdpSolution) -> MajorizingPair:
+    """The primal's pair, with eps * 1 added to both Choi matrices.
+
+    eps = max(0, -lambda_min) of the solver's block matrix, so the pair
+    is positive semidefinite up to round-off and its ``bound()`` is a
+    valid upper bound even where the iterate sits a little outside the
+    cone.
+    """
+    n, m = psi.dim_in, psi.dim_out
+    q = n * m
+    y = sol.primal[0]
+    f1 = matcore.check_hermitian(y[:q, :q], rtol=1e-6)
+    f2 = matcore.check_hermitian(y[q:, q:], rtol=1e-6)
+    raw = MajorizingPair(phi1=maps.LinearMapRep(n, m, f1),
+                         phi2=maps.LinearMapRep(n, m, f2), target=psi)
+    shift = max(0.0, -raw.psd_margin()) * np.eye(q)
+    return MajorizingPair(phi1=maps.LinearMapRep(n, m, f1 + shift),
+                          phi2=maps.LinearMapRep(n, m, f2 + shift),
+                          target=psi)
+
+
+def _pinv_sqrt(rho: np.ndarray) -> np.ndarray:
+    """rho^{-1/2} on the numerical support of rho, 0 off it."""
+    w, v = matcore.eig_hermitian(rho)
+    keep = w > PINV_RELATIVE_CUTOFF * max(w[-1], 0.0)
+    s = np.zeros_like(w)
+    s[keep] = 1.0 / np.sqrt(w[keep])
+    return (v * s) @ v.conj().T
+
+
+def _dual_witness(psi: maps.LinearMapRep, sol: sdp.SdpSolution) -> np.ndarray:
+    """Contraction on C^{dim_out} (x) C^{dim_in} read off the dual slack.
+
+    The slack's first block is Z = [[1 (x) rho_1, X], [X*, 1 (x) rho_2]]
+    >= 0, so K = (1 (x) rho_1)^{-1/2} X (1 (x) rho_2)^{-1/2}, with
+    pseudo-inverse square roots, is a contraction; its singular values
+    are clipped to 1 against round-off.
+    K does not change when the rho_j are scaled to trace one and X by
+    1/sqrt(Tr rho_1 Tr rho_2), so no scaling is done.  The witness is K
+    with the two tensor legs swapped on both sides, conjugated.
+    """
+    n, m = psi.dim_in, psi.dim_out
+    q = n * m
+    z, rho1, rho2 = sol.dual_slack[:3]
+    eye = np.eye(n)
+    k = (matcore.kron(eye, _pinv_sqrt(rho1)) @ z[:q, q:]
+         @ matcore.kron(eye, _pinv_sqrt(rho2)))
+    u, s, vh = np.linalg.svd(k)
+    k = (u * np.minimum(s, 1.0)) @ vh
+    return np.conj(k.reshape(n, m, n, m).transpose(1, 0, 3, 2)).reshape(q, q)
+
+
 def cb_upper_sdp(psi: maps.LinearMapRep,
                  options: sdp.SdpOptions | None = None):
-    """Solve the majorizing-pair program; returns (value, MajorizingPair)."""
+    """Solve the majorizing-pair program; returns (value, pair, witness).
+
+    The value is the certified pair's ``bound()``; the witness is the
+    dual contraction at level dim_out (see ``_dual_witness``).
+    """
     opts = options or sdp.SdpOptions(check_independence=False)
     sol = sdp.solve(_upper_problem(psi), opts)
     if sol.status != "optimal":
@@ -123,16 +190,8 @@ def cb_upper_sdp(psi: maps.LinearMapRep,
             f"cb upper-bound program ended with status {sol.status}: "
             f"{sol.message}"
         )
-    q = psi.dim_in * psi.dim_out
-    y = sol.primal[0]
-    f1 = matcore.check_hermitian(y[:q, :q], rtol=1e-6)
-    f2 = matcore.check_hermitian(y[q:, q:], rtol=1e-6)
-    pair = MajorizingPair(
-        phi1=maps.LinearMapRep(psi.dim_in, psi.dim_out, f1),
-        phi2=maps.LinearMapRep(psi.dim_in, psi.dim_out, f2),
-        target=psi,
-    )
-    return float(sol.primal_obj), pair
+    pair = _certified_pair(psi, sol)
+    return pair.bound(), pair, _dual_witness(psi, sol)
 
 
 def _apply_level(psi: maps.LinearMapRep, x: np.ndarray, k: int) -> np.ndarray:
@@ -212,16 +271,22 @@ def _sandwich(lower: float, upper: float, pair: MajorizingPair,
 def cb_norm(psi: maps.LinearMapRep, level: int | None = None, seed: int = 0,
             budget: maps.SearchBudget = maps.SearchBudget(32, 300),
             options: sdp.SdpOptions | None = None) -> CbNormResult:
-    """Sandwich the cb norm between the search lower and SDP upper bound.
+    """Sandwich the cb norm between an explicit lower and the SDP upper bound.
 
-    ``level`` defaults to min(dim_in, dim_out), where the cb norm of a
-    map into a matrix block is attained; pass a larger value to push the
-    lower bound on maps where the default sandwich stays loose.
+    By default (``level`` None) the lower bound comes from the dual of
+    the upper program at level dim_out, and ``seed`` and ``budget`` are
+    unused.  An explicit ``level`` k takes the lower bound from the
+    seeded search of ``amplification_norm`` over levels 1..k instead.
     """
-    k = level if level is not None else min(psi.dim_in, psi.dim_out)
-    lower, witness = amplification_norm(psi, k, seed=seed, budget=budget)
-    upper, pair = cb_upper_sdp(psi, options=options)
-    return _sandwich(lower, upper, pair, witness, k)
+    if level is not None:  # search first: a bad level fails before the solve
+        lower, witness = amplification_norm(psi, level, seed=seed,
+                                            budget=budget)
+    upper, pair, dual_witness = cb_upper_sdp(psi, options=options)
+    if level is None:
+        level, witness = psi.dim_out, dual_witness
+        lower = matcore.operator_norm(
+            maps.apply_to_second_leg(psi, witness, level))
+    return _sandwich(lower, upper, pair, witness, level)
 
 
 def embedded_transpose_norm(d: int, n: int, m: int) -> CbNormResult:

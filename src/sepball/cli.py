@@ -89,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True,
                    help="transpose:N | identity:N | reduction:N | file:PATH")
     p.add_argument("--level", type=int, default=None,
-                   help="amplification level for the lower bound "
-                   "(default min(dimIn, dimOut))")
+                   help="search for the lower bound at amplification "
+                   "levels 1..LEVEL (default: no search, the dual witness "
+                   "of the upper-bound program at level dimOut)")
     _shared_flags(p, "--seed", "--tol-gap", "--strict")
 
     p = sub.add_parser("sep-check",

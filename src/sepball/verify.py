@@ -21,7 +21,7 @@ SANDWICH_ORDER_SLACK = 1e-9  # round-off by which cb lower may exceed upper
 VIOLATION_REPRODUCE_TOL = 1e-8  # witness: recomputed vs reported violation
 EIGENVECTOR_RESIDUAL_TOL = 1e-6  # witness vector: ||M v - lambda v||
 DECOMPOSITION_RESIDUAL_TOL = 1e-9  # max |sum p (x) q - part| entry
-LOWER_REPRODUCE_TOL = 1e-12  # a closed-form lower bound, recomputed
+LOWER_REPRODUCE_TOL = 1e-12  # a lower bound, recomputed from its contraction
 
 
 def _psd_check(name: str, m: np.ndarray) -> NamedCheck:
@@ -31,16 +31,26 @@ def _psd_check(name: str, m: np.ndarray) -> NamedCheck:
                       lam + SOLVER_PSD_SLACK * scale)
 
 
-def _pair_checks(pair: cbnorm.MajorizingPair,
-                 upper: float) -> tuple[NamedCheck, ...]:
+def _pair_checks(pair: cbnorm.MajorizingPair, upper: float,
+                 prefix: str = "") -> tuple[NamedCheck, ...]:
     bound = pair.bound()
     bound_tol = SOLVER_RESIDUAL_TOL * max(1.0, upper)
     return (
-        _psd_check("majorizing-pair-psd", pair.block_matrix()),
-        NamedCheck("pair-bound-matches-upper",
+        _psd_check(f"{prefix}majorizing-pair-psd", pair.block_matrix()),
+        NamedCheck(f"{prefix}pair-bound-matches-upper",
                    abs(bound - upper) <= bound_tol,
                    bound_tol - abs(bound - upper)),
     )
+
+
+def _lower_check(f: maps.LinearMapRep, witness: np.ndarray, level: int,
+                 lower: float) -> NamedCheck:
+    """||(Id_level (x) f)(witness)|| reproduces ``lower``; witness a contraction."""
+    value = matcore.operator_norm(maps.apply_to_second_leg(f, witness, level))
+    tol = LOWER_REPRODUCE_TOL * max(1.0, lower)
+    margin = min(tol - abs(value - lower),
+                 1.0 + LOWER_REPRODUCE_TOL - matcore.operator_norm(witness))
+    return NamedCheck("lower-reproduced", margin >= 0, margin)
 
 
 def cbnorm_result(res: cbnorm.CbNormResult) -> tuple[NamedCheck, ...]:
@@ -48,6 +58,7 @@ def cbnorm_result(res: cbnorm.CbNormResult) -> tuple[NamedCheck, ...]:
         NamedCheck("sandwich-ordered",
                    res.upper >= res.lower - SANDWICH_ORDER_SLACK,
                    res.upper - res.lower + SANDWICH_ORDER_SLACK),
+        _lower_check(res.pair.target, res.witness, res.level, res.lower),
     )
 
 
@@ -126,16 +137,6 @@ def scan(rep: separability.ScanReport,
     return tuple(checks)
 
 
-def _lower_check(f: maps.LinearMapRep, witness: np.ndarray, level: int,
-                 lower: float) -> NamedCheck:
-    """||(Id_level (x) f)(witness)|| reproduces ``lower``; witness a contraction."""
-    value = matcore.operator_norm(maps.apply_to_second_leg(f, witness, level))
-    tol = LOWER_REPRODUCE_TOL * max(1.0, lower)
-    margin = min(tol - abs(value - lower),
-                 1.0 + LOWER_REPRODUCE_TOL - matcore.operator_norm(witness))
-    return NamedCheck("lower-reproduced", margin >= 0, margin)
-
-
 def rank_report(report: theorems.RankFormulaReport) -> tuple[NamedCheck, ...]:
     sandwich = report.eta_sandwich
     dev = max(abs(sandwich.lower - report.eta_value),
@@ -147,8 +148,7 @@ def rank_report(report: theorems.RankFormulaReport) -> tuple[NamedCheck, ...]:
         NamedCheck("sandwich-brackets-eta", dev <= theorems.CB_BRACKET_TOL,
                    theorems.CB_BRACKET_TOL - dev),
         *cbnorm_result(sandwich),
-        _lower_check(report.eta_witness, sandwich.witness, sandwich.level,
-                     sandwich.lower),
+        *_pair_checks(_corner_pair(kappa), kappa.upper, prefix="kappa-"),
         NamedCheck("kappa-below-upper",
                    kappa.lower <= kappa.upper + theorems.KAPPA_UPPER_SLACK,
                    kappa.upper + theorems.KAPPA_UPPER_SLACK - kappa.lower),
@@ -163,9 +163,15 @@ def rank_report(report: theorems.RankFormulaReport) -> tuple[NamedCheck, ...]:
     return tuple(checks)
 
 
+def _corner_pair(report: theorems.KappaReport) -> cbnorm.MajorizingPair:
+    """The corner majorizing pair behind ``report.upper``, rebuilt."""
+    return cbnorm.embedded_transpose_norm(report.value, report.m,
+                                          report.n).pair
+
+
 def kappa_report(report: theorems.KappaReport) -> tuple[NamedCheck, ...]:
     d = report.value
-    pair = cbnorm.embedded_transpose_norm(d, report.m, report.n).pair
+    pair = _corner_pair(report)
     y = matcore.embedded_swap(d, report.n, report.m)
     moved = maps.apply_to_second_leg(pair.target, y, report.n)
     w = theorems._pairing_vector(report.n, d)

@@ -44,7 +44,7 @@ def test_criterion_02_general_upper_bound():
         for i in range(50):
             rng = sampling.rng_from(0xAC2, shape_idx, i)
             f = maps.LinearMapRep(n, m, sampling.random_complex_choi(rng, n, m))
-            upper, _ = cbnorm.cb_upper_sdp(f)
+            upper, _, _ = cbnorm.cb_upper_sdp(f)
             base, _ = cbnorm.amplification_norm(f, 1)
             if upper > min(n, m) * base + 1e-5:
                 violations += 1

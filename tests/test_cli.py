@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sepball import cli, jsonio, maps, sdp, theorems, verify
+from sepball import cli, jsonio, maps, sampling, sdp, theorems, verify
 
 
 def _run(capsys, *argv):
@@ -28,6 +28,20 @@ def test_cbnorm_verify_and_strict(capsys):
                         "--level", "1", "--strict")
     assert code == 2
     assert json.loads(out)["loose"] is True
+
+
+def test_cbnorm_verify_cp_map_45(tmp_path, capsys):
+    # the map whose raw SDP upper bound fell 2.8e-9 below the exact lower
+    rng = sampling.rng_from(0xAC3, 45)
+    f = maps.LinearMapRep(3, 2, sampling.random_kraus_choi(rng, 3, 2))
+    path = tmp_path / "cp45.json"
+    path.write_text(jsonio.dumps(jsonio.encode_map(f)))
+    code, out, _ = _run(capsys, "cbnorm", "--map", f"file:{path}", "--verify")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verify"]["passed"] is True
+    assert doc["lower"] <= doc["upper"]
+    assert doc["level"] == 2 and doc["loose"] is False
 
 
 def test_sep_check_boundary_swap(capsys):

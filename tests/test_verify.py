@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 
 from sepball import algebra, cbnorm, maps, sdp, separability, theorems, verify
@@ -12,10 +14,14 @@ def _names(checks):
 
 
 def test_cbnorm_result_checks():
-    checks = verify.cbnorm_result(cbnorm.cb_norm(maps.transpose_map(2)))
-    assert _names(checks) == ["majorizing-pair-psd",
-                              "pair-bound-matches-upper", "sandwich-ordered"]
-    assert all(c.passed for c in checks)
+    # the default dual witness and the --level search carry the same checks
+    for level in (None, 1):
+        res = cbnorm.cb_norm(maps.transpose_map(2), level=level)
+        checks = verify.cbnorm_result(res)
+        assert _names(checks) == ["majorizing-pair-psd",
+                                  "pair-bound-matches-upper",
+                                  "sandwich-ordered", "lower-reproduced"]
+        assert all(c.passed for c in checks)
 
 
 def test_verdict_checks_per_status():
@@ -53,9 +59,16 @@ def test_rank_and_kappa_report_checks():
     assert _names(checks) == ["eta-gamma-product", "sandwich-brackets-eta",
                               "majorizing-pair-psd",
                               "pair-bound-matches-upper", "sandwich-ordered",
-                              "lower-reproduced", "kappa-below-upper",
-                              "extremal-witness-npt"]
+                              "lower-reproduced",
+                              "kappa-majorizing-pair-psd",
+                              "kappa-pair-bound-matches-upper",
+                              "kappa-below-upper", "extremal-witness-npt"]
     assert all(c.passed for c in checks)
+    # the kappa upper bound is re-certified, not trusted
+    wrong = dataclasses.replace(report, kappa_report=dataclasses.replace(
+        report.kappa_report, upper=report.kappa_report.upper + 1.0))
+    failed = [c.name for c in verify.rank_report(wrong) if not c.passed]
+    assert failed == ["kappa-pair-bound-matches-upper"]
     checks = verify.kappa_report(report.kappa_report)
     assert _names(checks) == ["lower-reproduced", "lower-below-upper",
                               "majorizing-pair-psd",
