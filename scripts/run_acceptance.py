@@ -53,6 +53,49 @@ def _write_problem(path: Path) -> None:
     path.write_text(jsonio.dumps(jsonio.encode_sdp_problem(prob)))
 
 
+def _write_mixed_problem(path: Path) -> None:
+    """Entrywise rows (complex off-diagonal pairs, a diagonal unit) beside
+    dense ones (E_00 + E_11 and a random Hermitian row across both
+    blocks), so both ways of forming the Schur complement run."""
+    rng = np.random.default_rng(0x5C4)
+    blocks = (3, 2)
+
+    def unit(d, a, b, v):
+        m = np.zeros((d, d), dtype=np.complex128)
+        m[a, b] = v
+        m[b, a] = np.conj(v)
+        return m
+
+    def herm(d):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return g + g.conj().T
+
+    def posdef(d):
+        h = herm(d)
+        return h @ h + np.eye(d)
+
+    z3, z2 = np.zeros((3, 3)), np.zeros((2, 2))
+    rows = [
+        (unit(3, 0, 1, 0.3 + 0.7j), z2),
+        (unit(3, 1, 2, -1j), z2),
+        (unit(3, 2, 2, 1.0), z2),
+        (np.diag([1.0, 1.0, 0.0]), z2),
+        (z3, unit(2, 0, 1, 0.6 - 0.8j)),
+        (z3, np.eye(2)),
+        (herm(3), herm(2)),
+    ]
+    # right-hand sides from a strictly feasible point; C > 0 bounds it
+    x0 = [posdef(d) for d in blocks]
+    cons = tuple(
+        (float(sum(np.real(np.trace(a @ x)) for a, x in zip(mats, x0))), mats)
+        for mats in rows
+    )
+    prob = sdp.SdpProblem(blocks=blocks,
+                          objective=tuple(posdef(d) for d in blocks),
+                          constraints=cons)
+    path.write_text(jsonio.dumps(jsonio.encode_sdp_problem(prob)))
+
+
 def _write_map(path: Path) -> None:
     """A fixed general (not Hermitian-preserving) map M_3 -> M_4."""
     rng = np.random.default_rng(0x34)
@@ -65,6 +108,7 @@ def run_battery(outdir: Path, inputs: Path) -> list[bytes]:
     outputs = []
     file_argv = [
         ["sdp-solve", "--problem", str(inputs / "problem.json"), "--verify"],
+        ["sdp-solve", "--problem", str(inputs / "mixed.json"), "--verify"],
         ["cbnorm", "--map", f"file:{inputs / 'map34.json'}", "--verify"],
     ]
     for i, argv in enumerate(BATTERY + file_argv):
@@ -98,6 +142,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         _write_problem(base / "problem.json")
+        _write_mixed_problem(base / "mixed.json")
         _write_map(base / "map34.json")
         dir_a = base / "a"
         dir_b = base / "b"

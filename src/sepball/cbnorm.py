@@ -38,7 +38,7 @@ import numpy as np
 from . import matcore, maps, sampling, sdp
 from .errors import ConvergenceError, DimensionError
 
-LOOSE_RELATIVE_WIDTH = 1e-3
+LOOSE_RELATIVE_WIDTH = 1e-3  # of max(upper, 1): absolute below norm 1
 PINV_RELATIVE_CUTOFF = 1e-12  # eigenvalues of rho_j below this share are 0
 
 
@@ -263,7 +263,7 @@ def amplification_norm(psi: maps.LinearMapRep, k: int, seed: int = 0,
 
 def _sandwich(lower: float, upper: float, pair: MajorizingPair,
               witness: np.ndarray, level: int) -> CbNormResult:
-    loose = (upper - lower) > LOOSE_RELATIVE_WIDTH * max(upper, 1e-12)
+    loose = (upper - lower) > LOOSE_RELATIVE_WIDTH * max(upper, 1.0)
     return CbNormResult(lower=lower, upper=upper, pair=pair,
                         witness=witness, level=level, loose=loose)
 

@@ -11,6 +11,17 @@ blocks are handled natively: the Nesterov-Todd scaling, the Schur
 complement and all eigencomputations run in complex arithmetic, never
 through a doubled real embedding.
 
+Constraint rows come in two kinds, sorted once per solve.  An entrywise
+row sits in one block as v E_ab + conj(v) E_ba (a != b) or v E_aa (v
+real).  Between two entrywise rows of one block the Schur entry
+Tr(A_i W A_j W) is a product of four entries of W (the structured Schur
+formulas of Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), so that
+square of the Schur matrix costs O(1) per entry and needs no stacks; it
+is zero across blocks.  Every other row is dense: it keeps its (d, d)
+matrices, pays O(d^3) per block for W A_j W, and fills its row and
+column of the Schur matrix with one sparse product.  A problem without
+entrywise rows runs exactly the dense arithmetic.
+
 The search direction is the Nesterov-Todd one with a Mehrotra
 predictor-corrector; the step fraction to the cone boundary and the
 identity infeasible start are fixed constants, so repeated solves of the
@@ -33,6 +44,9 @@ from .errors import DimensionError
 STEP_FRACTION = 0.98
 DIVERGENCE_SCALE = 1e8
 LOOSE_MERIT = 1e-7  # accept early-terminated iterates up to this KKT merit
+# Entries per chunk of an elementwise pass over a stack or the Schur
+# matrix: whole-array temporaries of a few MB ran 2-3x slower.
+CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -45,11 +59,16 @@ class SdpOptions:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Standard-form problem data; all coefficient matrices Hermitian."""
+    """Standard-form problem data; all coefficient matrices Hermitian.
+
+    ``stacks[j]`` holds block j of every constraint matrix as one
+    (p, d_j, d_j) array; the matrices in ``constraints`` are views of it.
+    """
 
     blocks: tuple[int, ...]
     objective: tuple[np.ndarray, ...]
     constraints: tuple[tuple[float, tuple[np.ndarray, ...]], ...]
+    stacks: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     def __init__(self, blocks, objective, constraints):
         blocks = tuple(int(d) for d in blocks)
@@ -62,25 +81,12 @@ class SdpProblem:
         )
         if len(constraints) == 0:
             raise DimensionError("the problem needs at least one constraint")
-        cons = []
-        for idx, (rhs, mats) in enumerate(constraints):
-            rhs = float(rhs)
-            if not np.isfinite(rhs):
-                raise DimensionError(f"constraint {idx} has non-finite rhs")
-            if len(mats) != len(blocks):
-                raise DimensionError(
-                    f"constraint {idx} needs one matrix per block"
-                )
-            cons.append((
-                rhs,
-                tuple(
-                    matcore.check_hermitian(_sized(a, d))
-                    for a, d in zip(mats, blocks)
-                ),
-            ))
+        rhs, stacks = _constraint_stacks(blocks, constraints)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", tuple(cons))
+        object.__setattr__(self, "constraints", tuple(
+            (r, tuple(s[i] for s in stacks)) for i, r in enumerate(rhs)))
+        object.__setattr__(self, "stacks", stacks)
 
     @property
     def num_constraints(self) -> int:
@@ -92,6 +98,65 @@ def _sized(m, d: int) -> np.ndarray:
     if a.shape != (d, d):
         raise DimensionError(f"matrix of shape {a.shape} does not fit block {d}")
     return a
+
+
+def _constraint_stacks(blocks, constraints):
+    """Validate the constraints; returns (rhs list, per-block stacks).
+
+    The checks and their order are those of one pass per constraint (rhs,
+    then each block's shape and Hermitian symmetry), but the Hermitian
+    test runs on whole stacks (``_hermitian_parts``).
+    """
+    p = len(constraints)
+    stacks = tuple(np.empty((p, d, d), dtype=np.complex128) for d in blocks)
+    rhs = []
+    for idx, entry in enumerate(constraints):
+        filled = 0
+        try:
+            r, mats = entry
+            r = float(r)
+            if not np.isfinite(r):
+                raise DimensionError(f"constraint {idx} has non-finite rhs")
+            if len(mats) != len(blocks):
+                raise DimensionError(
+                    f"constraint {idx} needs one matrix per block"
+                )
+            for stack, a, d in zip(stacks, mats, blocks):
+                stack[idx] = _sized(a, d)
+                filled += 1
+        except Exception:
+            # a non-Hermitian matrix earlier in constraint order fails first
+            _hermitian_parts(stacks, [idx + (j < filled)
+                                      for j in range(len(blocks))])
+            raise
+        rhs.append(r)
+    _hermitian_parts(stacks, [p] * len(blocks))
+    return rhs, stacks
+
+
+def _hermitian_parts(stacks, rows) -> None:
+    """Replace ``stacks[j][:rows[j]]`` by their Hermitian parts, in place.
+
+    Each chunk of a stack gets ``matcore.check_hermitian``'s test at once,
+    at half its bound.  The few matrices that come that close to failing
+    are then checked one by one in constraint order, so the first that
+    fails raises ``check_hermitian``'s own error.
+    """
+    suspects = []
+    for j, (stack, n) in enumerate(zip(stacks, rows)):
+        step = max(1, CHUNK_ENTRIES // stack[0].size)
+        for lo in range(0, n, step):
+            c = stack[lo:min(n, lo + step)]
+            k = c.shape[0]
+            h = c.conj().transpose(0, 2, 1)
+            dev = np.abs(c - h).reshape(k, -1).max(axis=1)
+            scale = np.maximum(1.0, np.linalg.norm(c.reshape(k, -1), axis=1))
+            close = dev > 0.5 * matcore.HERMITICITY_RTOL * scale
+            suspects += [(lo + int(i), j, c[i].copy())
+                         for i in np.flatnonzero(close)]
+            c[...] = (c + h) / 2.0
+    for _, _, a in sorted(suspects, key=lambda s: s[:2]):
+        matcore.check_hermitian(a)
 
 
 @dataclass(frozen=True)
@@ -127,7 +192,11 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
 
 
 class _Compiled:
-    """Vectorized constraint data: dense stacks plus sparse row matrices."""
+    """Constraint data: sparse rows, entrywise units and dense stacks.
+
+    Rows are sorted once into entrywise rows (see ``_entrywise_units``)
+    and dense rows; only the dense rows keep a (p_dense, d, d) stack.
+    """
 
     def __init__(self, problem: SdpProblem, check_independence: bool):
         self.blocks = problem.blocks
@@ -136,12 +205,7 @@ class _Compiled:
 
         p = problem.num_constraints
         b = np.array([rhs for rhs, _ in problem.constraints], dtype=float)
-        stacks = []
-        for bi, d in enumerate(problem.blocks):
-            stack = np.zeros((p, d, d), dtype=np.complex128)
-            for i, (_, mats) in enumerate(problem.constraints):
-                stack[i] = mats[bi]
-            stacks.append(stack)
+        stacks = problem.stacks
 
         keep = np.arange(p)
         if check_independence and p > 1:
@@ -152,6 +216,7 @@ class _Compiled:
                     f"{sorted(dropped)}",
                     stacklevel=3,
                 )
+                stacks = [s[keep] for s in stacks]
             if inconsistent is not None:
                 self.inconsistent = (
                     f"constraint {inconsistent} is a linear combination of the "
@@ -161,12 +226,27 @@ class _Compiled:
         self.keep = keep
         self.b = b[keep]
         self.p = len(keep)
-        self.stacks = [s[keep] for s in stacks]
         self.csr = [
             scipy.sparse.csr_matrix(s.reshape(self.p, d * d))
-            for s, d in zip(self.stacks, problem.blocks)
+            for s, d in zip(stacks, problem.blocks)
         ]
         self.csr_conj = [a.conj().tocsr() for a in self.csr]
+        self.units = []  # (block, square of M its rows span, a, b, v)
+        entrywise = np.zeros(self.p, dtype=bool)
+        for j, (rows, a, b, v) in enumerate(
+                _entrywise_units(self.csr, self.blocks)):
+            if len(rows) == 0:
+                continue
+            entrywise[rows] = True
+            if rows[-1] - rows[0] + 1 == len(rows):
+                square = (slice(rows[0], rows[-1] + 1),) * 2
+            else:
+                square = np.ix_(rows, rows)
+            self.units.append((j, square, a, b, v))
+        self.dense = np.flatnonzero(~entrywise)
+        if len(self.dense) < self.p:
+            stacks = [s[self.dense] for s in stacks]
+        self.stacks = stacks
         self.norm_b = float(np.linalg.norm(self.b))
         self.norm_c = float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in self.C)))
 
@@ -186,15 +266,89 @@ class _Compiled:
         return out
 
     def schur(self, ws) -> np.ndarray:
-        """M_ij = sum_blocks Tr(A_i W A_j W) for the NT scaling W."""
-        m = np.zeros((self.p, self.p), dtype=np.complex128)
+        """M_ij = sum_blocks Tr(A_i W A_j W) for the NT scaling W.
+
+        The columns of dense rows j come from W A_j W; the block of
+        entrywise rows comes from entries of W (``_unit_schur``).
+        """
+        pd = len(self.dense)
+        m = np.zeros((self.p, pd), dtype=np.complex128)
         for a_conj, stack, w in zip(self.csr_conj, self.stacks, ws):
-            if stack.shape[1] == 0:
-                continue
             waw = np.matmul(np.matmul(w, stack), w)
-            m += a_conj @ waw.reshape(self.p, -1).T
+            m += a_conj @ waw.reshape(pd, w.size).T
         m = m.real
+        if pd < self.p:
+            full = np.zeros((self.p, self.p))
+            full[:, self.dense] = m
+            full[self.dense] = m.T
+            for j, square, a, b, v in self.units:
+                full[square] = _unit_schur(ws[j], a, b, v)
+            m = full
         return (m + m.T) / 2.0
+
+
+def _entrywise_units(csr, blocks):
+    """Per block, the rows that are one Hermitian matrix unit there.
+
+    A row is entrywise in block j when block j holds all its nonzeros,
+    either v E_ab + conj(v) E_ba with a != b or v E_aa with v real.  Two
+    diagonal units (such as the identity of size 2) make a dense row.
+    Returns per block (rows, a, b, v), with v halved for diagonal units,
+    so that every row reads A = v E_ab + conj(v) E_ba.
+    """
+    nnz = np.array([np.diff(a.indptr) for a in csr])
+    alone = np.count_nonzero(nnz, axis=0) == 1
+    units = []
+    for a, d, n in zip(csr, blocks, nnz):
+        one = np.flatnonzero(alone & (n == 1))
+        at = a.indptr[one]
+        r, c = np.divmod(a.indices[at], d)
+        v = a.data[at]
+        ok = (r == c) & (v.imag == 0)
+        one, r, v = one[ok], r[ok], v[ok] / 2.0
+
+        two = np.flatnonzero(alone & (n == 2))
+        at = a.indptr[two]
+        r0, c0 = np.divmod(a.indices[at], d)
+        r1, c1 = np.divmod(a.indices[at + 1], d)
+        v0 = a.data[at]
+        ok = (r0 == c1) & (c0 == r1) & (r0 != c0) & (a.data[at + 1] == v0.conj())
+        rows = np.concatenate([one, two[ok]])
+        order = np.argsort(rows)
+        units.append((
+            rows[order],
+            np.concatenate([r, r0[ok]])[order],
+            np.concatenate([r, c0[ok]])[order],
+            np.concatenate([v, v0[ok]])[order],
+        ))
+    return units
+
+
+def _unit_schur(w, a, b, v) -> np.ndarray:
+    """Tr(A_i W A_j W) for A_i = v_i E_{a_i b_i} + conj(v_i) E_{b_i a_i}.
+
+    For Hermitian W this is 2 Re(v_i v_j W[b_i,a_j] conj(W[a_i,b_j])
+    + v_i conj(v_j) W[b_i,b_j] conj(W[a_i,a_j])): four gathers of W and
+    elementwise products, formed a chunk of rows at a time so that the
+    temporaries stay small.
+    """
+    n = len(a)
+    wb = w[b] * v[:, None]
+    wa = w[a].conj()
+    vc = v.conj()
+    out = np.empty((n, n))
+    step = max(1, CHUNK_ENTRIES // n)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        t = wb[rows][:, a]
+        t *= wa[rows][:, b]
+        t *= v
+        u = wb[rows][:, b]
+        u *= wa[rows][:, a]
+        u *= vc
+        t += u
+        np.multiply(t.real, 2.0, out=out[rows])
+    return out
 
 
 def _independent_rows(stacks, b):

@@ -25,8 +25,10 @@ LOWER_REPRODUCE_TOL = 1e-12  # a lower bound, recomputed from its contraction
 
 
 def _psd_check(name: str, m: np.ndarray) -> NamedCheck:
-    lam = matcore.min_eigenvalue(m)
-    scale = max(1.0, matcore.operator_norm(m))
+    """lambda_min(m) >= -slack * max(1, ||m||), from one eigvalsh of m."""
+    w = matcore.eigvals_hermitian(m)
+    lam = float(w[0])
+    scale = max(1.0, abs(lam), float(w[-1]))
     return NamedCheck(name, lam >= -SOLVER_PSD_SLACK * scale,
                       lam + SOLVER_PSD_SLACK * scale)
 

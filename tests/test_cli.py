@@ -44,6 +44,19 @@ def test_cbnorm_verify_cp_map_45(tmp_path, capsys):
     assert doc["level"] == 2 and doc["loose"] is False
 
 
+def test_cbnorm_zero_map_is_not_loose(tmp_path, capsys):
+    # solver round-off leaves an absolute width ~1e-10 on [0, upper]
+    f = maps.LinearMapRep(2, 3, np.zeros((6, 6), dtype=np.complex128))
+    path = tmp_path / "zero.json"
+    path.write_text(jsonio.dumps(jsonio.encode_map(f)))
+    code, out, _ = _run(capsys, "cbnorm", "--map", f"file:{path}",
+                        "--strict", "--verify")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["loose"] is False and doc["verify"]["passed"] is True
+    assert doc["lower"] == 0.0 and doc["upper"] < 1e-6
+
+
 def test_sep_check_boundary_swap(capsys):
     code, out, _ = _run(capsys, "sep-check", "--element", "id_minus:swap:0.5",
                         "--dims", "2x2")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepball import matcore, sampling, sdp
-from sepball.errors import DimensionError
+from sepball.errors import DimensionError, HermiticityError
 
 
 def _rng(seed):
@@ -182,8 +182,130 @@ def test_problem_validation():
         sdp.SdpProblem(blocks=(2,), objective=(np.eye(2),), constraints=())
 
 
+def test_problem_validation_reports_first_bad_matrix():
+    good = np.eye(2)
+    bad = [np.array([[1.0, x], [0.0, 1.0]]) for x in (2.0, 3.0)]
+    messages = []
+    for b in bad:
+        with pytest.raises(HermiticityError) as exc:
+            matcore.check_hermitian(b)
+        messages.append(str(exc.value))
+    # constraint order first, block order second, as one check per matrix
+    cons = ((1.0, (good, good)), (1.0, (good, bad[0])),
+            (1.0, (bad[1], good)), (1.0, (np.eye(3), good)))
+    with pytest.raises(HermiticityError) as exc:
+        sdp.SdpProblem(blocks=(2, 2), objective=(good, good), constraints=cons)
+    assert str(exc.value) == messages[0]
+    cons = ((1.0, (good, np.eye(3))), (1.0, (bad[0], good)))
+    with pytest.raises(DimensionError, match="does not fit block 2"):
+        sdp.SdpProblem(blocks=(2, 2), objective=(good, good), constraints=cons)
+    cons = ((1.0, (bad[1], np.eye(3))),)
+    with pytest.raises(HermiticityError) as exc:
+        sdp.SdpProblem(blocks=(2, 2), objective=(good, good), constraints=cons)
+    assert str(exc.value) == messages[1]
+
+
+def test_problem_stacks_hold_hermitian_parts():
+    a = np.array([[1.0, 1j], [-1j + 1e-14, 2.0]])
+    prob = sdp.SdpProblem(blocks=(2,), objective=(np.eye(2),),
+                          constraints=((1.0, (a,)),))
+    want = matcore.check_hermitian(a)
+    assert prob.stacks[0][0].tobytes() == want.tobytes()
+    assert prob.constraints[0][1][0].base is prob.stacks[0]
+
+
 def test_solution_close_to_analytic_optimizer():
     c = np.diag([3.0, 1.0, 2.0])
     sol = sdp.solve(_min_trace_problem(c))
     target = np.diag([0.0, 1.0, 0.0])
     nptest.assert_allclose(sol.primal[0], target, atol=1e-5)
+
+
+def _units(d, entries):
+    """Hermitian matrix with the given {(a, b): v} entries and their mirrors."""
+    a = np.zeros((d, d), dtype=np.complex128)
+    for (i, j), v in entries.items():
+        a[i, j] += v
+        if i != j:
+            a[j, i] += np.conj(v)
+    return a
+
+
+def _mixed_problem():
+    """Entrywise rows of both blocks interleaved with dense ones.
+
+    Returns the problem and each row's expected kind: the block of an
+    entrywise row, or -1 for a dense row.
+    """
+    rng = _rng(11)
+    g = sampling.complex_gaussian(rng, (3, 3))
+    z2 = np.zeros((2, 2))
+    z3 = np.zeros((3, 3))
+    rows = [
+        ((_units(3, {(0, 1): 0.3 + 0.7j}), z2), 0),
+        ((np.eye(3), z2), -1),  # three diagonal units
+        ((z3, np.eye(2)), -1),  # E_00 + E_11
+        ((_units(3, {(2, 0): -1j}), z2), 0),
+        ((z3, _units(2, {(0, 1): 0.6 - 0.8j})), 1),
+        ((_units(3, {(1, 1): 2.5}), z2), 0),  # v E_aa
+        ((_units(3, {(0, 1): 1.0}), _units(2, {(0, 0): 1.0})), -1),
+        ((g + g.conj().T, z2), -1),  # dense random Hermitian
+        ((z3, _units(2, {(1, 1): -0.5})), 1),
+    ]
+    cons = tuple((0.0, mats) for mats, _ in rows)
+    prob = sdp.SdpProblem(blocks=(3, 2), objective=(np.eye(3), np.eye(2)),
+                          constraints=cons)
+    return prob, [kind for _, kind in rows]
+
+
+def _cb_problem(n, m, seed):
+    from sepball import cbnorm, maps
+
+    rng = _rng(seed)
+    choi = sampling.complex_gaussian(rng, (n * m, n * m))
+    prob = cbnorm._upper_problem(maps.LinearMapRep(n, m, choi))
+    q = n * m
+    kinds = [0] * (2 * q * q) + [-1] * (2 * m * m)
+    return prob, kinds
+
+
+def _row_kinds(comp):
+    kinds = np.full(comp.p, -1)
+    for j, square, *_ in comp.units:
+        kinds[np.arange(comp.p)[square[0]].ravel()] = j
+    return kinds.tolist()
+
+
+@pytest.mark.parametrize("case", ["cb23", "cb34", "cb42", "mixed"])
+def test_schur_matches_dense_oracle(case):
+    if case == "mixed":
+        prob, kinds = _mixed_problem()
+    else:
+        n, m = int(case[2]), int(case[3])
+        prob, kinds = _cb_problem(n, m, seed=n * 10 + m)
+    comp = sdp._Compiled(prob, check_independence=False)
+    assert _row_kinds(comp) == kinds
+
+    rng = _rng(5)
+    ws = []
+    for d in prob.blocks:
+        g = sampling.complex_gaussian(rng, (d, d))
+        w = g @ g.conj().T + np.eye(d)
+        ws.append((w + w.conj().T) / 2)
+    got = comp.schur(ws)
+
+    p = prob.num_constraints
+    want = np.zeros((p, p))
+    for j, w in enumerate(ws):
+        a = np.array([mats[j] for _, mats in prob.constraints])
+        waw = w @ a @ w
+        want += np.real(np.einsum("ikl,jlk->ij", a, waw))
+    err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+    assert err <= 1e-13
+    assert got.tobytes() == got.T.tobytes()
+
+
+def test_schur_all_dense_rows_keep_their_stacks():
+    prob = _random_strictly_feasible(3)
+    comp = sdp._Compiled(prob, check_independence=False)
+    assert comp.units == [] and comp.stacks[0] is prob.stacks[0]
