@@ -40,13 +40,28 @@ def _fail(path: str, expected: str, got) -> SchemaError:
     return SchemaError(f"{path}: expected {expected}, got {type(got).__name__}")
 
 
+def _is_number(obj) -> bool:
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
+def _finite(obj, path: str) -> float:
+    """A JSON number as a float; the NaN, infinities and integers beyond
+    the float range that Python's json reader accepts are refused."""
+    try:
+        v = float(obj)
+    except OverflowError:
+        raise SchemaError(f"{path}: number out of the float range") from None
+    if not math.isfinite(v):
+        raise SchemaError(f"{path}: expected a finite number, got {v}")
+    return v
+
+
 def decode_complex(obj, path: str) -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
-    if (isinstance(obj, list) and len(obj) == 2
-            and all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                    for p in obj)):
-        return complex(obj[0], obj[1])
+    if _is_number(obj):
+        return complex(_finite(obj, path))
+    if isinstance(obj, list) and len(obj) == 2 and all(map(_is_number, obj)):
+        return complex(_finite(obj[0], f"{path}[0]"),
+                       _finite(obj[1], f"{path}[1]"))
     raise _fail(path, "a number or [re, im] pair", obj)
 
 
@@ -299,8 +314,9 @@ def decode_sdp_problem(obj, path: str = "problem") -> sdp.SdpProblem:
     for i, entry in enumerate(raw_cons):
         here = f"{path}.constraints[{i}]"
         rhs = _get(entry, "rhs", here)
-        if isinstance(rhs, bool) or not isinstance(rhs, (int, float)):
+        if not _is_number(rhs):
             raise _fail(f"{here}.rhs", "a real number", rhs)
+        rhs = _finite(rhs, f"{here}.rhs")
         raw_mats = _get(entry, "mats", here)
         if not isinstance(raw_mats, list) or len(raw_mats) != len(blocks):
             raise SchemaError(
@@ -308,7 +324,7 @@ def decode_sdp_problem(obj, path: str = "problem") -> sdp.SdpProblem:
             )
         mats = tuple(decode_matrix(a, f"{here}.mats[{j}]")
                      for j, a in enumerate(raw_mats))
-        constraints.append((float(rhs), mats))
+        constraints.append((rhs, mats))
     try:
         return sdp.SdpProblem(blocks=blocks, objective=objective,
                               constraints=tuple(constraints))

@@ -23,9 +23,15 @@ column of the Schur matrix with one sparse product.  A problem without
 entrywise rows runs exactly the dense arithmetic.
 
 The search direction is the Nesterov-Todd one with a Mehrotra
-predictor-corrector; the step fraction to the cone boundary and the
-identity infeasible start are fixed constants, so repeated solves of the
-same problem are bitwise identical.
+predictor-corrector, formed in the scaled frame of Todd, Toh and
+Tutuncu (SIAM J. Optim. 8, 1998): per block, two eigendecompositions give
+the square roots Sx, Sz of X, Z and one SVD Sz Sx = U diag(lam) V* gives
+G = Sx V diag(lam)^-1/2 with W = G G* (so W Z W = X) and G^-1 X G^-* =
+G* Z G = diag(lam).  There the step length to the cone boundary is one
+eigvalsh of an elementwise rescaled direction and the corrector's
+Lyapunov equation is solved entrywise.  The step fraction to the
+boundary and the identity infeasible start are fixed constants, so
+repeated solves of the same problem are bitwise identical.
 """
 
 from __future__ import annotations
@@ -231,6 +237,7 @@ class _Compiled:
             for s, d in zip(stacks, problem.blocks)
         ]
         self.csr_conj = [a.conj().tocsr() for a in self.csr]
+        self.csr_t = [a.T.tocsr() for a in self.csr]
         self.units = []  # (block, square of M its rows span, a, b, v)
         entrywise = np.zeros(self.p, dtype=bool)
         for j, (rows, a, b, v) in enumerate(
@@ -259,11 +266,7 @@ class _Compiled:
 
     def adjoint(self, y):
         """A*(y): one Hermitian matrix per block."""
-        out = []
-        for a, d in zip(self.csr, self.blocks):
-            m = (a.T @ y).reshape(d, d)
-            out.append(m)
-        return out
+        return [(a @ y).reshape(d, d) for a, d in zip(self.csr_t, self.blocks)]
 
     def schur(self, ws) -> np.ndarray:
         """M_ij = sum_blocks Tr(A_i W A_j W) for the NT scaling W.
@@ -380,55 +383,42 @@ def _independent_rows(stacks, b):
     return keep, dropped, inconsistent
 
 
-def _eigh(m):
-    h = (m + m.conj().T) / 2.0
-    return np.linalg.eigh(h)
+def _herm(m):
+    return (m + m.conj().T) / 2.0
+
+
+def _sqrt_psd(m):
+    """Square root of a Hermitian m (the iterates are kept exactly
+    Hermitian), eigenvalues clamped at 0."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
 
 
 def _nt_scaling(x, z):
-    """Return (W, G, G_inv, lam, lam_w, lam_q) with W Z W = X, G = W^{1/2}."""
-    wx, vx = _eigh(x)
-    wx = np.maximum(wx, 1e-300)
-    sqrt_x = (vx * np.sqrt(wx)) @ vx.conj().T
-    t = sqrt_x @ z @ sqrt_x
-    wt, vt = _eigh(t)
-    wt = np.maximum(wt, 1e-300)
-    inv_sqrt_t = (vt * (wt ** -0.5)) @ vt.conj().T
-    w = sqrt_x @ inv_sqrt_t @ sqrt_x
-    w = (w + w.conj().T) / 2.0
-    ww, vw = _eigh(w)
-    ww = np.maximum(ww, 1e-300)
-    g = (vw * np.sqrt(ww)) @ vw.conj().T
-    g_inv = (vw * (ww ** -0.5)) @ vw.conj().T
-    lam = g @ z @ g
-    lam = (lam + lam.conj().T) / 2.0
-    lw, lq = _eigh(lam)
-    return w, g, g_inv, lam, lw, lq
+    """Return (W, G, G_inv, lam): W Z W = X, W = G G*, and the scaled
+    iterates G^-1 X G^-* = G* Z G = diag(lam).
+
+    With Sz Sx = U diag(lam) V* for the square roots Sx, Sz of X, Z, G =
+    Sx V diag(lam)^-1/2 and G^-1 = diag(lam)^-1/2 U* Sz; no square root
+    is inverted.
+    """
+    sx, sz = _sqrt_psd(x), _sqrt_psd(z)
+    u, lam, vh = np.linalg.svd(sz @ sx)
+    lam = np.maximum(lam, 1e-300)
+    r = lam ** -0.5
+    g = (sx @ vh.conj().T) * r
+    g_inv = r[:, None] * (u.conj().T @ sz)
+    return _herm(g @ g.conj().T), g, g_inv, lam
 
 
-def _step_to_boundary(s, ds):
-    """Largest alpha with s + alpha*ds >= 0 (inf when ds points inward)."""
-    try:
-        l = scipy.linalg.cholesky(s, lower=True)
-        y1 = scipy.linalg.solve_triangular(l, ds, lower=True)
-        y2 = scipy.linalg.solve_triangular(l, y1.conj().T, lower=True)
-        k = y2.conj().T
-    except scipy.linalg.LinAlgError:
-        w, v = _eigh(s)
-        w = np.maximum(w, 1e-300)
-        inv_sqrt = (v * (w ** -0.5)) @ v.conj().T
-        k = inv_sqrt @ ds @ inv_sqrt
-    lam_min = float(np.linalg.eigvalsh((k + k.conj().T) / 2.0)[0])
+def _step_to_boundary(lam, ds):
+    """Largest alpha with diag(lam) + alpha*ds >= 0 (inf when ds points
+    inward), for ds Hermitian in the scaled frame."""
+    r = lam ** -0.5
+    lam_min = float(np.linalg.eigvalsh(ds * np.outer(r, r))[0])
     if lam_min >= -1e-300:
         return np.inf
     return -1.0 / lam_min
-
-
-def _lyapunov_solve(rhs, lw, lq):
-    """Solve (lam U + U lam)/2 = rhs in the eigenbasis (lw, lq) of lam."""
-    r = lq.conj().T @ rhs @ lq
-    denom = (lw[:, None] + lw[None, :]) / 2.0
-    return lq @ (r / denom) @ lq.conj().T
 
 
 def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution:
@@ -512,6 +502,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
 
         scal = [_nt_scaling(x, z) for x, z in zip(xs, zs)]
         ws = [s[0] for s in scal]
+        lams = [s[3] for s in scal]
         m = comp.schur(ws)
         factor = _factor_with_retry(m)
         if factor is None:
@@ -521,52 +512,48 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
 
         w_rd_w = [w @ r @ w for w, r in zip(ws, rd)]
 
-        # Predictor (affine scaling) direction.
-        rc = [-x for x in xs]
-        dy = _solve_factored(factor, rp - comp.apply(rc) + comp.apply(w_rd_w), comp)
-        dz = [r - a for r, a in zip(rd, comp.adjoint(dy))]
-        dx = [c - w @ z_ @ w for c, w, z_ in zip(rc, ws, dz)]
-        dx = [(d + d.conj().T) / 2.0 for d in dx]
-        dz = [(d + d.conj().T) / 2.0 for d in dz]
+        def direction(rc):
+            """(dX, dy, dZ) solving dX + W dZ W = rc, their scaled forms
+            G^-1 dX G^-* and G* dZ G, and the step lengths (ap, ad)."""
+            dy = _solve_factored(
+                factor, rp - comp.apply(rc) + comp.apply(w_rd_w), comp)
+            dz = [r - a for r, a in zip(rd, comp.adjoint(dy))]
+            dx = [_herm(c - w @ z_ @ w) for c, w, z_ in zip(rc, ws, dz)]
+            dz = [_herm(d) for d in dz]
+            dxs = [_herm(gi @ d @ gi.conj().T)
+                   for (_, _, gi, _), d in zip(scal, dx)]
+            dzs = [_herm(g.conj().T @ d @ g)
+                   for (_, g, _, _), d in zip(scal, dz)]
+            alphas = [min(map(_step_to_boundary, lams, ds)) for ds in (dxs, dzs)]
+            ap, ad = (min(1.0, STEP_FRACTION * a) for a in alphas)
+            return dx, dy, dz, dxs, dzs, ap, ad
 
-        ap = min(1.0, STEP_FRACTION * min(
-            _step_to_boundary(x, d) for x, d in zip(xs, dx)))
-        ad = min(1.0, STEP_FRACTION * min(
-            _step_to_boundary(z, d) for z, d in zip(zs, dz)))
+        # Predictor (affine scaling) direction.
+        dx, dy, dz, dxs, dzs, ap, ad = direction([-x for x in xs])
         gap_aff = inner(
             [x + ap * d for x, d in zip(xs, dx)],
             [z + ad * d for z, d in zip(zs, dz)],
         )
         sigma = min(1.0, max((max(gap_aff, 0.0) / gap) ** 3, 1e-12))
 
-        # Corrector with the Mehrotra second-order term, in scaled space.
+        # Corrector with the Mehrotra second-order term: in the scaled
+        # frame the iterates are diag(lam), so the Lyapunov equation
+        # (lam S + S lam)/2 = R is solved entrywise.
         rc = []
-        for (w, g, g_inv, lam, lw, lq), dxa, dza in zip(scal, dx, dz):
-            dx_s = g_inv @ dxa @ g_inv
-            dz_s = g @ dza @ g
-            corr = (dx_s @ dz_s + dz_s @ dx_s) / 2.0
-            r_lam = sigma * mu * np.eye(lam.shape[0]) - lam @ lam - corr
-            r_lam = (r_lam + r_lam.conj().T) / 2.0
-            s = _lyapunov_solve(r_lam, lw, lq)
-            rc.append(g @ s @ g)
+        for (_, g, _, lam), dx_s, dz_s in zip(scal, dxs, dzs):
+            r_lam = -(dx_s @ dz_s + dz_s @ dx_s) / 2.0
+            r_lam[np.diag_indices_from(r_lam)] += sigma * mu - lam * lam
+            s = _herm(r_lam) / ((lam[:, None] + lam[None, :]) / 2.0)
+            rc.append(g @ s @ g.conj().T)
 
-        dy = _solve_factored(factor, rp - comp.apply(rc) + comp.apply(w_rd_w), comp)
-        dz = [r - a for r, a in zip(rd, comp.adjoint(dy))]
-        dx = [c - w @ z_ @ w for c, w, z_ in zip(rc, ws, dz)]
-        dx = [(d + d.conj().T) / 2.0 for d in dx]
-        dz = [(d + d.conj().T) / 2.0 for d in dz]
-
-        ap = min(1.0, STEP_FRACTION * min(
-            _step_to_boundary(x, d) for x, d in zip(xs, dx)))
-        ad = min(1.0, STEP_FRACTION * min(
-            _step_to_boundary(z, d) for z, d in zip(zs, dz)))
+        dx, dy, dz, _, _, ap, ad = direction(rc)
         if ap < 1e-10 and ad < 1e-10:
             message = "step lengths collapsed; returning the best iterate"
             break
 
-        xs = [(x + ap * d + (x + ap * d).conj().T) / 2.0 for x, d in zip(xs, dx)]
+        xs = [_herm(x + ap * d) for x, d in zip(xs, dx)]
         y = y + ad * dy
-        zs = [(z + ad * d + (z + ad * d).conj().T) / 2.0 for z, d in zip(zs, dz)]
+        zs = [_herm(z + ad * d) for z, d in zip(zs, dz)]
 
     if best is None:  # pragma: no cover - loop always records an iterate
         return SdpSolution(status="maxiter", message="no iterate recorded")
@@ -630,7 +617,7 @@ def _infeasibility_certificate(comp, y):
     y_ray = y / s
     margin = 0.0
     for a in comp.adjoint(y_ray):
-        margin = min(margin, -float(np.linalg.eigvalsh((a + a.conj().T) / 2)[-1]))
+        margin = min(margin, -float(np.linalg.eigvalsh(_herm(a))[-1]))
     if margin >= -1e-7:
         return y_ray
     return None

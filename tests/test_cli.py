@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from sepball import cli, jsonio, maps, sampling, sdp, theorems, verify
+from sepball import (
+    cli, jsonio, maps, sampling, sdp, separability, theorems, verify,
+)
 
 
 def _run(capsys, *argv):
@@ -194,6 +196,43 @@ def test_bad_numbers_are_one_line_errors(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("sepball: error: ") and err.count("\n") == 1
+
+
+def _bad_number_case(kind):
+    """(argv with {} for the file, document, the list or object that gets
+    the bad number, its key there, and the path the error must name)."""
+    prob = jsonio.encode_sdp_problem(sdp.SdpProblem(
+        blocks=(2,), objective=(np.diag([2.0, 1.0]),),
+        constraints=((1.0, (np.eye(2),)),)))
+    if kind == "map":
+        doc = jsonio.encode_map(maps.transpose_map(2))
+        return ("cbnorm", "--map", "file:{}"), doc, doc["choi"][1], 0, \
+            "choi[1][0]"
+    if kind == "element":
+        doc = jsonio.encode_element(separability.extremal_entangled(2))
+        return ("sep-check", "--element", "file:{}"), doc, \
+            doc["parts"][0]["m"][0][2], 1, "parts[0].m[0][2][1]"
+    if kind == "problem":
+        return ("sdp-solve", "--problem", "{}"), prob, \
+            prob["objective"][0][1][1], 0, "objective[0][1][1][0]"
+    return ("sdp-solve", "--problem", "{}"), prob, prob["constraints"][0], \
+        "rhs", "constraints[0].rhs"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 399],
+                         ids=["NaN", "Infinity", "400-digit-int"])
+@pytest.mark.parametrize("kind", ["map", "element", "problem", "problem-rhs"])
+def test_non_finite_json_numbers_are_one_line_errors(tmp_path, capsys,
+                                                     kind, value):
+    argv, doc, holder, key, where = _bad_number_case(kind)
+    holder[key] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))  # writes NaN, Infinity and all digits
+    code, out, err = _run(capsys, *(a.format(path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sepball: error: ") and err.count("\n") == 1
+    assert where in err
 
 
 _TOLERANCE_ARGV = {

@@ -309,3 +309,76 @@ def test_schur_all_dense_rows_keep_their_stacks():
     prob = _random_strictly_feasible(3)
     comp = sdp._Compiled(prob, check_independence=False)
     assert comp.units == [] and comp.stacks[0] is prob.stacks[0]
+
+
+def _posdef(rng, d, eigenvalues=None):
+    q, _ = np.linalg.qr(sampling.complex_gaussian(rng, (d, d)))
+    if eigenvalues is None:
+        eigenvalues = rng.uniform(0.1, 2.0, d)
+    return (q * eigenvalues) @ q.conj().T
+
+
+def _scaling_cases():
+    rng = _rng(90)
+    cases = [(_posdef(rng, d), _posdef(rng, d)) for d in (1, 4, 24)]
+    cases.append((_posdef(rng, 6, np.logspace(-12, 0, 6)), _posdef(rng, 6)))
+    return cases
+
+
+def _norm(m):
+    return float(np.linalg.norm(m, 2))
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_nt_scaling_frame(case):
+    # each identity holds to round-off in forming its products, so the
+    # bounds scale with the factors' norms (the last case spans 12 decades)
+    x, z = _scaling_cases()[case]
+    w, g, g_inv, lam = sdp._nt_scaling(x, z)
+    eps = 1e-12
+    assert _norm(w @ z @ w - x) <= eps * _norm(w) ** 2 * _norm(z)
+    assert _norm(g_inv @ g - np.eye(len(lam))) <= eps * _norm(g_inv) * _norm(g)
+    assert _norm(g_inv @ x @ g_inv.conj().T - np.diag(lam)) <= \
+        eps * _norm(g_inv) ** 2 * _norm(x)
+    assert _norm(g.conj().T @ z @ g - np.diag(lam)) <= \
+        eps * _norm(g) ** 2 * _norm(z)
+    nptest.assert_allclose(w, g @ g.conj().T, atol=eps * _norm(g) ** 2)
+
+
+def _scaled_directions(case):
+    """lam, then (X, dX, G^-1 dX G^-*) and (Z, dZ, G* dZ G) for one case."""
+    x, z = _scaling_cases()[case]
+    _, g, g_inv, lam = sdp._nt_scaling(x, z)
+    rng = _rng(91 + case)
+    d = len(lam)
+    dirs = []
+    for _ in range(2):
+        h = sampling.complex_gaussian(rng, (d, d))
+        h = (h + h.conj().T) / 2
+        # mixed signs for d > 1; a 1 x 1 direction must point outward
+        dirs.append(h if np.linalg.eigvalsh(h)[0] < 0 else -h)
+    dx, dz = dirs
+    scaled = (g_inv @ dx @ g_inv.conj().T, g.conj().T @ dz @ g)
+    return lam, ((x, dx, (scaled[0] + scaled[0].conj().T) / 2),
+                 (z, dz, (scaled[1] + scaled[1].conj().T) / 2))
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_step_to_boundary_matches_oracle(case):
+    lam, sides = _scaled_directions(case)
+    for s, ds, ds_scaled in sides:
+        alpha = sdp._step_to_boundary(lam, ds_scaled)
+        w, v = np.linalg.eigh(s)
+        inv_sqrt = (v * w ** -0.5) @ v.conj().T
+        oracle = -1.0 / np.linalg.eigvalsh(inv_sqrt @ ds @ inv_sqrt)[0]
+        assert abs(alpha - oracle) <= 1e-9 * oracle
+        assert np.linalg.eigvalsh(s + 0.999 * alpha * ds)[0] >= 0
+        assert np.linalg.eigvalsh(s + 1.001 * alpha * ds)[0] < 0
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_step_to_boundary_inward_is_unbounded(case):
+    lam, sides = _scaled_directions(case)
+    for _, ds, ds_scaled in sides:
+        assert sdp._step_to_boundary(lam, ds_scaled @ ds_scaled) == np.inf
+    assert sdp._step_to_boundary(lam, np.zeros((len(lam),) * 2)) == np.inf
