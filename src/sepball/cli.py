@@ -10,9 +10,12 @@ timestamps are emitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import algebra, cbnorm, jsonio, maps, sampling, sdp
 from . import separability, theorems, verify
@@ -79,7 +82,10 @@ def _shared_flags(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.  parse_args
+    leaves it unchanged and returns a fresh Namespace on every call."""
     parser = _Parser(prog=PROG, description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,
                                parser_class=_Parser)
@@ -335,13 +341,16 @@ _HANDLERS = {
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        doc, code, unsettled, checks = _HANDLERS[args.command](args)
+        # Data too large for double precision end in a checked one-line
+        # error (sdp.solve tests its iterates); numpy's overflow warnings
+        # would only add stray lines to stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            doc, code, unsettled, checks = _HANDLERS[args.command](args)
         if checks is not None:
             passed = all(c.passed for c in checks)
             doc["verify"] = {

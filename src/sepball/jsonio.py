@@ -18,22 +18,26 @@ from .errors import SchemaError
 
 
 def dumps(obj) -> str:
-    """Canonical document text: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical document text: sorted keys, no whitespace outside
+    strings, one trailing newline.
 
-
-def encode_complex(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+    Without ``indent`` the json module takes its C encoder; pipe the text
+    through ``python -m json.tool`` to read it indented.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 def encode_matrix(m) -> list:
+    """Row-major nested [re, im] pairs.  tolist() yields the same Python
+    floats, -0.0 included, as float() of each part, with no Python call
+    per entry."""
     a = np.asarray(m, dtype=np.complex128)
-    return [[encode_complex(v) for v in row] for row in a]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def encode_vector(v) -> list:
-    return [encode_complex(x) for x in np.asarray(v, dtype=np.complex128)]
+    return encode_matrix(v)  # the stacking above keeps any shape
 
 
 def _fail(path: str, expected: str, got) -> SchemaError:

@@ -44,7 +44,7 @@ import scipy.linalg
 import scipy.sparse
 
 from . import matcore
-from .errors import DimensionError
+from .errors import ConvergenceError, DimensionError
 
 # Fixed algorithm constants (read-only; not part of SdpOptions).
 STEP_FRACTION = 0.98
@@ -88,6 +88,9 @@ class SdpProblem:
         if len(constraints) == 0:
             raise DimensionError("the problem needs at least one constraint")
         rhs, stacks = _constraint_stacks(blocks, constraints)
+        if not all(np.isfinite(a).all() for a in obj + stacks):
+            raise DimensionError("the Hermitian parts of the problem data "
+                                 "overflow the float range")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraints", tuple(
@@ -459,6 +462,8 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
         )
         rel_gap = abs(pobj - dobj) / scale
         cgap = gap / scale
+        _require_finite(it, "the residuals or the gap",
+                        (pres, dres, rel_gap, cgap))
         merit = max(pres, dres, rel_gap, cgap)
 
         if merit < best_merit:
@@ -503,7 +508,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
         scal = [_nt_scaling(x, z) for x, z in zip(xs, zs)]
         ws = [s[0] for s in scal]
         lams = [s[3] for s in scal]
-        m = comp.schur(ws)
+        m = _require_finite(it, "the Schur complement", comp.schur(ws))
         factor = _factor_with_retry(m)
         if factor is None:
             message = ("Schur complement stayed indefinite after regularization "
@@ -515,8 +520,8 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
         def direction(rc):
             """(dX, dy, dZ) solving dX + W dZ W = rc, their scaled forms
             G^-1 dX G^-* and G* dZ G, and the step lengths (ap, ad)."""
-            dy = _solve_factored(
-                factor, rp - comp.apply(rc) + comp.apply(w_rd_w), comp)
+            dy = _require_finite(it, "the search direction", _solve_factored(
+                factor, rp - comp.apply(rc) + comp.apply(w_rd_w), comp))
             dz = [r - a for r, a in zip(rd, comp.adjoint(dy))]
             dx = [_herm(c - w @ z_ @ w) for c, w, z_ in zip(rc, ws, dz)]
             dz = [_herm(d) for d in dz]
@@ -583,6 +588,16 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
     )
 
 
+def _require_finite(it, what, values):
+    """Return ``values``, or raise once data too large for double
+    precision have overflowed into them."""
+    if not np.isfinite(values).all():
+        raise ConvergenceError(
+            f"iteration {it}: {what} left the float range; the problem "
+            "data are too large for double precision")
+    return values
+
+
 def _expand_dual(comp, y, p_full):
     """Reinsert zeros for dropped dependent rows."""
     if len(y) == p_full:
@@ -598,7 +613,7 @@ def _factor_with_retry(m):
     for reg in regs:
         try:
             return scipy.linalg.cho_factor(
-                m + reg * np.eye(m.shape[0]), lower=True)
+                m + reg * np.eye(m.shape[0]), lower=True, check_finite=False)
         except scipy.linalg.LinAlgError:
             continue
     return None
@@ -607,7 +622,8 @@ def _factor_with_retry(m):
 def _solve_factored(factor, rhs, comp):
     if comp.p == 0:
         return np.zeros(0)
-    return scipy.linalg.cho_solve(factor, rhs)
+    # solve() checks the result: a non-finite rhs makes it non-finite
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
 def _infeasibility_certificate(comp, y):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,3 +357,65 @@ def test_threads_do_not_change_output(capsys):
     code, b, _ = _run(capsys, *argv, "--threads", "3")
     assert code == 0
     assert a == b
+
+
+def _overflow_case(kind, value, tmp_path):
+    if kind == "sdp-solve-objective":
+        doc = jsonio.encode_sdp_problem(sdp.SdpProblem(
+            blocks=(2,), objective=(np.diag([2.0, 1.0]),),
+            constraints=((1.0, (np.eye(2),)),)))
+        doc["objective"][0][0][1] = [value, value]
+        doc["objective"][0][1][0] = [value, -value]
+        argv = ("sdp-solve", "--problem", "{}")
+    else:
+        doc = jsonio.encode_map(maps.transpose_map(2))
+        doc["choi"][1][0] = [value, 0.0]
+        argv = ("cbnorm", "--map", "file:{}")
+    path = tmp_path / "doc.json"
+    path.write_text(jsonio.dumps(doc))
+    return [a.format(path) for a in argv]
+
+
+@pytest.mark.filterwarnings("error")  # stderr must hold the one line only
+@pytest.mark.parametrize("value", [1e160, 1e308])
+@pytest.mark.parametrize("kind", ["sdp-solve-objective", "cbnorm-file-map"])
+def test_overflowing_finite_data_are_one_line_errors(tmp_path, capsys,
+                                                     kind, value):
+    # finite inputs whose squares or Hermitian parts overflow used to end
+    # in scipy's "array must not contain infs or NaNs" traceback
+    code, out, err = _run(capsys, *_overflow_case(kind, value, tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sepball: error: ") and err.count("\n") == 1
+
+
+def _fresh_interpreter(argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "sepball.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_leaks_no_state(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # one usage layout in both processes
+    scan = ["gamma-scan", "--algA", "2", "--algB", "1,2", "--radii",
+            "0.3,0.45", "--samples", "2", "--threads", "1", "--seed", "7"]
+    sequence = [scan + ["--verify"],
+                ["sep-check", "--element", "extremal:0.05", "--dims", "2x2"],
+                scan + ["--bogus"],
+                scan,
+                scan + ["--verify"]]
+    results = [_run(capsys, *argv) for argv in sequence]
+    code, out, err = results[2]
+    assert code == 1 and out == ""
+    assert [line.split(" ", 1)[0] for line in err.splitlines()] == \
+        ["usage:", "sepball:"]
+    fresh = {}
+    for argv, result in zip(sequence, results):
+        key = tuple(argv)
+        if key not in fresh:
+            fresh[key] = _fresh_interpreter(argv)
+        assert result == fresh[key], argv
+    assert results[0][1] != results[3][1]  # --verify adds its checks

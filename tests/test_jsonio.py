@@ -20,6 +20,66 @@ def test_dumps_rejects_nan():
         jsonio.dumps({"x": float("nan")})
 
 
+def _outside_strings(text: str) -> str:
+    """The characters of JSON text that lie outside string literals."""
+    out, in_string, escaped = [], False, False
+    for ch in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _keys_sorted(pairs):
+    keys = [k for k, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+def test_dumps_is_compact_canonical_text():
+    doc = {"zeta": [1, -0.0, 5e-324, 1.7976931348623157e308, None, True],
+           "Alpha": {"b key": "two words, \"quoted\"\n", "a": []},
+           "m": jsonio.encode_matrix(np.array([[1 - 2j, 0.5j]])),
+           "": {"y": {"x": 0}}}
+    text = jsonio.dumps(doc)
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert not any(ch.isspace() for ch in _outside_strings(text[:-1]))
+    assert json.loads(text, object_pairs_hook=_keys_sorted) == doc
+
+
+def _per_entry(a) -> list:
+    """The encoder's reference: one float() per real and imaginary part."""
+    def pair(z):
+        z = complex(z)
+        return [float(z.real), float(z.imag)]
+    if a.ndim == 1:
+        return [pair(z) for z in a]
+    return [[pair(z) for z in row] for row in a]
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (1, 1), (3, 5), (6, 6)])
+def test_vectorised_encoders_match_per_entry_floats(shape):
+    rng = sampling.rng_from(0xE7C, len(shape) * 10 + shape[-1])
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324,
+                         1.7976931348623157e308, -1.7976931348623157e308])
+    a = sampling.complex_gaussian(rng, shape)
+    flat = a.reshape(-1)
+    flat.real[::2] = rng.choice(specials, size=flat[::2].size)
+    flat.imag[1::3] = rng.choice(specials, size=flat[1::3].size)
+    encode = jsonio.encode_vector if len(shape) == 1 else jsonio.encode_matrix
+    # repr tells -0.0 from 0.0 and a numpy scalar from a Python float
+    assert repr(encode(a)) == repr(_per_entry(a))
+    assert repr(encode(a.real)) == repr(_per_entry(a.real))
+
+
 def test_matrix_roundtrip():
     rng = sampling.rng_from(0x10, 0)
     m = sampling.complex_gaussian(rng, (3, 2))
