@@ -108,13 +108,8 @@ class BipartiteElement:
         )
 
 
-def split_components(x: BipartiteElement):
-    """Lossless decomposition into ((k, l), matrix) pieces, lex order."""
-    return [((k, l), x.part(k, l).copy()) for (k, l) in x.pairs()]
-
-
 def assemble(alg_a: FdAlgebra, alg_b: FdAlgebra, pieces) -> BipartiteElement:
-    """Inverse of :func:`split_components`.
+    """Element with the given (k, l) -> matrix parts.
 
     ``pieces`` maps (k, l) to a matrix (a dict or an iterable of pairs);
     absent block pairs are filled with zeros.

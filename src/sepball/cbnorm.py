@@ -43,6 +43,14 @@ PINV_RELATIVE_CUTOFF = 1e-12  # eigenvalues of rho_j below this share are 0
 
 
 @dataclass(frozen=True)
+class SearchBudget:
+    """Random restarts per level and alternating steps per start."""
+
+    restarts: int = 32
+    steps: int = 300
+
+
+@dataclass(frozen=True)
 class MajorizingPair:
     """CP maps phi_1, phi_2 whose block matrix dominates the target."""
 
@@ -224,7 +232,7 @@ def _search_once(psi: maps.LinearMapRep, k: int, x0: np.ndarray, steps: int):
 
 
 def amplification_norm(psi: maps.LinearMapRep, k: int, seed: int = 0,
-                       budget: maps.SearchBudget = maps.SearchBudget(32, 300)):
+                       budget: SearchBudget = SearchBudget()):
     """Lower bound ||Id_k (x) psi|| with its witness contraction.
 
     Levels 1..k are swept in order and the best contraction of each level
@@ -269,7 +277,7 @@ def _sandwich(lower: float, upper: float, pair: MajorizingPair,
 
 
 def cb_norm(psi: maps.LinearMapRep, level: int | None = None, seed: int = 0,
-            budget: maps.SearchBudget = maps.SearchBudget(32, 300),
+            budget: SearchBudget = SearchBudget(),
             options: sdp.SdpOptions | None = None) -> CbNormResult:
     """Sandwich the cb norm between an explicit lower and the SDP upper bound.
 

@@ -21,10 +21,6 @@ class PositivityError(SepballError):
     """A matrix or element required to be positive semidefinite is not."""
 
 
-class SingularityError(SepballError):
-    """An operator that must be invertible is numerically singular."""
-
-
 class LinearityError(SepballError):
     """A callable expected to be linear fails the spot check."""
 

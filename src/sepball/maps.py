@@ -2,12 +2,9 @@
 
 A map Phi: M_n -> M_m is stored through its Choi matrix
 ``C = sum_ij e_ij (x) Phi(e_ij)`` on C^n (x) C^m with the domain leg
-first.  Complete positivity is positivity of C; plain positivity is
-block-positivity of C, certified one way by product vectors and the
-other way by a semidefinite search for a decomposition
-``C = C_1 + C_2^G`` with both parts PSD (G = partial transpose on the
-domain leg), which witnesses that the map is a sum of a completely
-positive map and a completely positive map composed with the transpose.
+first.  Complete positivity is positivity of C.  The module evaluates
+maps, their amplifications Id_k (x) Phi and the adjoints of those, and
+builds the Choi matrices of the named maps and of linear callables.
 """
 
 from __future__ import annotations
@@ -17,16 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore, sampling
-from .errors import (
-    DimensionError,
-    HermiticityError,
-    LinearityError,
-    SingularityError,
-)
+from .errors import DimensionError, LinearityError
 
 LINEARITY_RTOL = 1e-10
 PSD_SLACK = 1e-9
-DECOMP_RESIDUAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -179,174 +170,6 @@ def is_completely_positive(f: LinearMapRep, tol: float = PSD_SLACK):
     return margin >= -tol * scale, margin
 
 
-def choi_domain_transpose(c: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Partial transpose of a Choi-shaped matrix on its domain leg."""
-    return matcore.partial_transpose(c, (n, m), "first")
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    restarts: int = 64
-    steps: int = 200
-
-
-@dataclass(frozen=True)
-class PositivityCertificate:
-    """Outcome of positivity certification for one map.
-
-    status is one of "certified-yes", "certified-no", "undecided".
-    certified-yes carries PSD parts with choi = c1 + domain-transpose(c2);
-    certified-no carries the refuting product vectors and the violation.
-    """
-
-    status: str
-    c1: np.ndarray | None = None
-    c2: np.ndarray | None = None
-    u: np.ndarray | None = None
-    v: np.ndarray | None = None
-    violation: float | None = None
-    message: str = ""
-
-
-def product_vector_refute(f: LinearMapRep, seed: int = 0,
-                          budget: SearchBudget = SearchBudget()):
-    """Search for product vectors making the Choi form negative.
-
-    Alternating eigenvector descent over unit vectors u, v; the value
-    <u (x) v| choi |u (x) v> is monotone nonincreasing along the sweep.
-    Returns the best (value, u, v) over all restarts.
-    """
-    n, m = f.dim_in, f.dim_out
-    c4 = f.choi4
-    best = (np.inf, None, None)
-    for r in range(budget.restarts):
-        rng = sampling.rng_from(0xD15C0, seed, r)
-        v = sampling.complex_gaussian(rng, m)
-        v = v / np.linalg.norm(v)
-        value = np.inf
-        u = None
-        for _ in range(budget.steps):
-            mu = np.einsum("a,iajb,b->ij", v.conj(), c4, v)
-            w, vec = matcore.eig_hermitian(mu)
-            u = vec[:, 0]
-            nu = np.einsum("i,iajb,j->ab", u.conj(), c4, u)
-            w2, vec2 = matcore.eig_hermitian(nu)
-            v = vec2[:, 0]
-            new_value = float(w2[0])
-            if abs(new_value - value) <= 1e-14 * max(1.0, abs(new_value)):
-                value = new_value
-                break
-            value = new_value
-        if value < best[0]:
-            best = (value, u, v)
-    return best
-
-
-def _decomposition_problem(f: LinearMapRep):
-    from . import sdp
-
-    n, m = f.dim_in, f.dim_out
-    d = n * m
-    basis = sdp.hermitian_basis(d)
-    constraints = []
-    for h in basis:
-        hg = choi_domain_transpose(h, n, m)
-        rhs = float(np.real(np.trace(h @ f.choi)))
-        constraints.append((rhs, [h, hg]))
-    c_obj = [np.eye(d, dtype=np.complex128), np.eye(d, dtype=np.complex128)]
-    return sdp.SdpProblem(blocks=(d, d), objective=c_obj, constraints=constraints)
-
-
-def certify_positive_map(f: LinearMapRep, seed: int = 0,
-                         budget: SearchBudget = SearchBudget(),
-                         tol: float = PSD_SLACK) -> PositivityCertificate:
-    """Three-way positivity certification for a Hermiticity-preserving map.
-
-    certified-no comes from a product vector with Choi form below
-    -tol * max(1, ||choi||_F); certified-yes only from a verified PSD
-    decomposition found by the semidefinite solver; anything else stays
-    undecided (the map may be positive but indecomposable).
-    """
-    from . import sdp
-
-    choi = matcore.check_hermitian(f.choi)
-    f = LinearMapRep(f.dim_in, f.dim_out, choi)
-    scale = max(1.0, matcore.frobenius_norm(choi))
-    threshold = -tol * scale
-
-    cp, margin = is_completely_positive(f, tol)
-    if cp:
-        zero = np.zeros_like(choi)
-        return PositivityCertificate(
-            status="certified-yes", c1=choi, c2=zero,
-            message=f"completely positive (choi margin {margin:.3e})",
-        )
-
-    value, u, v = product_vector_refute(f, seed=seed, budget=budget)
-    if value < threshold:
-        return PositivityCertificate(
-            status="certified-no", u=u, v=v, violation=float(value),
-            message="product vector makes the Choi form negative",
-        )
-
-    problem = _decomposition_problem(f)
-    sol = sdp.solve(problem)
-    if sol.status == "optimal":
-        c1, c2 = sol.primal[0], sol.primal[1]
-        resid = matcore.frobenius_norm(
-            c1 + choi_domain_transpose(c2, f.dim_in, f.dim_out) - choi
-        )
-        m1 = matcore.min_eigenvalue(c1)
-        m2 = matcore.min_eigenvalue(c2)
-        if resid <= DECOMP_RESIDUAL_TOL * scale and min(m1, m2) >= threshold:
-            return PositivityCertificate(
-                status="certified-yes", c1=c1, c2=c2,
-                message=f"decomposition found (residual {resid:.3e})",
-            )
-        return PositivityCertificate(
-            status="undecided",
-            message=f"solver returned a split that failed verification "
-                    f"(residual {resid:.3e}, margins {m1:.3e}/{m2:.3e})",
-        )
-    return PositivityCertificate(
-        status="undecided",
-        message=f"no decomposition found (solver status {sol.status}); "
-                "the map may be positive but indecomposable",
-    )
-
-
-def unitalize(f: LinearMapRep, eps: float = 0.0) -> LinearMapRep:
-    """Normalize a positive map to a unital one.
-
-    Adds ``eps * (Tr(x)/n) * 1`` to the output (a state times the unit)
-    and conjugates by the inverse square root of the regularized unit
-    image.  With eps = 0 the unit image must be invertible; otherwise a
-    SingularityError suggests passing a positive eps.
-    """
-    if eps < 0:
-        raise DimensionError(f"eps must be nonnegative, got {eps}")
-    n, m = f.dim_in, f.dim_out
-    choi = matcore.check_hermitian(f.choi)
-    unit_image = matcore.partial_trace(choi, (n, m), "first")
-    s = unit_image + eps * np.eye(m)
-    w, vecs = matcore.eig_hermitian(s)
-    if w[0] <= 1e-10 * max(1.0, float(w[-1])):
-        raise SingularityError(
-            "the image of the unit is numerically singular "
-            f"(smallest eigenvalue {w[0]:.3e}); pass a positive eps to regularize"
-        )
-    inv_sqrt = (vecs * (w ** -0.5)) @ vecs.conj().T
-    shifted = choi + (eps / n) * np.eye(n * m)
-    conj = matcore.kron(np.eye(n), inv_sqrt)
-    return LinearMapRep(n, m, conj @ shifted @ conj.conj().T)
-
-
-def unitality_residual(f: LinearMapRep) -> float:
-    """Operator-norm distance of the unit's image from the identity."""
-    unit_image = matcore.partial_trace(f.choi, (f.dim_in, f.dim_out), "first")
-    return matcore.operator_norm(unit_image - np.eye(f.dim_out))
-
-
 def hat_functional(f: LinearMapRep, x) -> complex:
     """The functional x -> Tr(sum_i a_i^T f(b_i)) for x = sum_i a_i (x) b_i.
 
@@ -362,37 +185,3 @@ def hat_functional(f: LinearMapRep, x) -> complex:
         )
     x4 = a.reshape(n, m, n, m)
     return complex(np.einsum("iajb,aibj->", x4, f.choi4))
-
-
-@dataclass(frozen=True)
-class MapClassification:
-    completely_positive: bool
-    cp_margin: float
-    positivity: PositivityCertificate
-    unital: bool
-    unital_residual: float
-
-
-def classify_map(f: LinearMapRep, seed: int = 0,
-                 budget: SearchBudget = SearchBudget(),
-                 tol: float = PSD_SLACK) -> MapClassification:
-    """Joint CP / positivity / unitality classification."""
-    try:
-        cp, margin = is_completely_positive(f, tol)
-    except HermiticityError:
-        cp, margin = False, float("-inf")
-    if cp:
-        positivity = PositivityCertificate(
-            status="certified-yes", c1=matcore.check_hermitian(f.choi),
-            c2=np.zeros_like(f.choi), message="completely positive",
-        )
-    else:
-        positivity = certify_positive_map(f, seed=seed, budget=budget, tol=tol)
-    residual = unitality_residual(f)
-    return MapClassification(
-        completely_positive=cp,
-        cp_margin=margin,
-        positivity=positivity,
-        unital=residual <= 1e-10 * max(1.0, matcore.frobenius_norm(f.choi)),
-        unital_residual=residual,
-    )

@@ -192,13 +192,3 @@ def embedded_swap(a: int, n: int, m: int) -> np.ndarray:
             f[i * m + j, j * m + i] = 1.0
     return f
 
-
-def embedded_max_entangled(a: int, n: int, m: int) -> np.ndarray:
-    """P of size a embedded in the top corner of C^n (x) C^m."""
-    if a < 1 or a > min(n, m):
-        raise DimensionError(f"cannot embed a projector of size {a} into ({n}, {m})")
-    p = np.zeros((n * m, n * m), dtype=np.complex128)
-    for k in range(a):
-        for l in range(a):
-            p[k * m + k, l * m + l] = 1.0
-    return p

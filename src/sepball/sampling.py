@@ -24,11 +24,6 @@ def gue(rng: np.random.Generator, d: int) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
-    a = complex_gaussian(rng, (d, d))
-    return a @ a.conj().T
-
-
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar unitary via QR of a Ginibre matrix with the phase fix."""
     q, r = np.linalg.qr(complex_gaussian(rng, (d, d)))

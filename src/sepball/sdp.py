@@ -57,6 +57,14 @@ CHUNK_ENTRIES = 1 << 15
 
 @dataclass(frozen=True)
 class SdpOptions:
+    """Iteration limit, tolerances and the dependent-row check.
+
+    ``check_independence`` drops linearly dependent rows before the
+    solve (``_independent_rows``).  ``sdp-solve`` keeps it on, because
+    rows written by a user may be dependent; ``cbnorm`` turns it off,
+    because its rows are independent by construction.
+    """
+
     max_iter: int = 200
     feas_tol: float = 1e-9
     gap_tol: float = 1e-9
@@ -358,7 +366,11 @@ def _unit_schur(w, a, b, v) -> np.ndarray:
 
 
 def _independent_rows(stacks, b):
-    """Select a maximal independent subset of constraint rows via pivoted QR."""
+    """Select a maximal independent subset of constraint rows via pivoted QR.
+
+    Each row and its right-hand side are first scaled to unit row norm,
+    so that one huge row does not make the others look dependent.
+    """
     p = len(b)
     cols = []
     for s in stacks:
@@ -366,6 +378,10 @@ def _independent_rows(stacks, b):
         cols.append(flat.real)
         cols.append(flat.imag)
     v = np.hstack(cols)  # (p, total real dof)
+    norms = np.linalg.norm(v, axis=1)
+    norms[norms == 0.0] = 1.0
+    v = v / norms[:, None]
+    b = b / norms
     r = scipy.linalg.qr(v.T, mode="r", pivoting=True)
     rmat, piv = r[0], r[1]
     diag = np.abs(np.diagonal(rmat))
@@ -640,10 +656,16 @@ def _infeasibility_certificate(comp, y):
 
 
 def _unboundedness_certificate(comp, xs, pobj):
+    """The ray X / |pobj| when A nearly annihilates it, relative to the
+    ray's own size and the largest constraint row, else None."""
     if pobj >= 0:
         return None
     scale = -pobj
     x_ray = [x / scale for x in xs]
-    if float(np.linalg.norm(comp.apply(x_ray))) <= 1e-7:
+    row_sq = sum(np.asarray(abs(a).power(2).sum(axis=1)).ravel()
+                 for a in comp.csr)
+    row_norm = float(np.sqrt(np.max(row_sq, initial=0.0)))
+    x_norm = float(np.sqrt(sum(np.linalg.norm(x) ** 2 for x in x_ray)))
+    if float(np.linalg.norm(comp.apply(x_ray))) <= 1e-7 * x_norm * row_norm:
         return tuple(x_ray)
     return None

@@ -172,6 +172,42 @@ def test_sdp_solve_infeasible_is_success(tmp_path, capsys):
     assert json.loads(out)["status"] == "infeasible"
 
 
+def _scaled_problem(case, v):
+    """Tr X = 1 and X_00 = 0.5 on blocks (2,), with the off-diagonal pair
+    v(1 +- i) in the objective ("ray", optimum 1.5 - sqrt(2) v) or in the
+    Tr X row ("rank", optimum 1)."""
+    pair = np.array([[0, v * (1 + 1j)], [v * (1 - 1j), 0]])
+    diag = np.diag([2.0, 1.0])
+    if case == "ray":
+        objective, trace_row = diag + pair, np.eye(2)
+        optimum = 1.5 - np.sqrt(2) * v
+    else:
+        objective, trace_row, optimum = diag, np.eye(2) + pair, 1.0
+    prob = sdp.SdpProblem(
+        blocks=(2,),
+        objective=(objective,),
+        constraints=((1.0, (trace_row,)), (0.5, (np.diag([1.0, 0.0]),))),
+    )
+    return prob, optimum
+
+
+@pytest.mark.parametrize("v", [1e10, 1e20, 1e50])
+@pytest.mark.parametrize("case", ["ray", "rank"])
+def test_sdp_solve_large_entries_stay_feasible_bounded(tmp_path, capsys,
+                                                     case, v):
+    # a bounded, feasible problem is never reported unbounded or
+    # infeasible, however large one pair of entries gets
+    prob, optimum = _scaled_problem(case, v)
+    path = tmp_path / "prob.json"
+    path.write_text(jsonio.dumps(jsonio.encode_sdp_problem(prob)))
+    code, out, _ = _run(capsys, "sdp-solve", "--problem", str(path))
+    doc = json.loads(out)
+    assert doc["status"] not in ("unbounded", "infeasible")
+    assert code == (0 if doc["status"] == "optimal" else 1)
+    if doc["status"] == "optimal":
+        assert abs(doc["primalObjective"] - optimum) <= 1e-6 * abs(optimum)
+
+
 def test_sdp_solve_without_constraints_is_error(tmp_path, capsys):
     doc = {"blocks": [2], "objective": [jsonio.encode_matrix(np.eye(2))],
            "constraints": []}

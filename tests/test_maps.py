@@ -5,12 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepball import maps, matcore, sampling
-from sepball.errors import (
-    DimensionError,
-    HermiticityError,
-    LinearityError,
-    SingularityError,
-)
+from sepball.errors import DimensionError, HermiticityError, LinearityError
 
 
 def _rng(seed):
@@ -151,75 +146,6 @@ def test_is_cp_rejects_nonhermitian_choi():
         maps.is_completely_positive(maps.LinearMapRep(2, 2, c))
 
 
-def test_certify_transpose_positive():
-    cert = maps.certify_positive_map(maps.transpose_map(2))
-    assert cert.status == "certified-yes"
-    split = cert.c1 + maps.choi_domain_transpose(cert.c2, 2, 2)
-    nptest.assert_allclose(split, matcore.swap_operator(2), atol=1e-6)
-    assert matcore.min_eigenvalue(cert.c1) >= -1e-8
-    assert matcore.min_eigenvalue(cert.c2) >= -1e-8
-
-
-def test_certify_reduction_positive():
-    cert = maps.certify_positive_map(maps.reduction_map(2))
-    assert cert.status == "certified-yes"
-    split = cert.c1 + maps.choi_domain_transpose(cert.c2, 2, 2)
-    nptest.assert_allclose(split, maps.reduction_map(2).choi, atol=1e-6)
-
-
-def test_certify_negative_choi_refuted():
-    f = maps.LinearMapRep(2, 2, -np.eye(4))
-    cert = maps.certify_positive_map(f)
-    assert cert.status == "certified-no"
-    assert cert.violation < -0.9
-
-
-def test_certify_shifted_swap_refuted():
-    # <u (x) v|F - 0.6|u (x) v> = |<u, v>|^2 - 0.6, minimized at -0.6
-    f = maps.LinearMapRep(2, 2, matcore.swap_operator(2) - 0.6 * np.eye(4))
-    cert = maps.certify_positive_map(f)
-    assert cert.status == "certified-no"
-    assert abs(cert.violation + 0.6) < 1e-9
-    quad = np.real(np.conj(np.kron(cert.u, cert.v)) @ f.choi
-                   @ np.kron(cert.u, cert.v))
-    assert abs(quad - cert.violation) < 1e-9
-
-
-def test_cp_implies_certified_yes():
-    kr = maps.LinearMapRep(2, 2, sampling.random_kraus_choi(_rng(4), 2, 2))
-    cert = maps.certify_positive_map(kr)
-    assert cert.status == "certified-yes"
-
-
-def test_unitalize_scaling():
-    f = maps.LinearMapRep(2, 2, 2.0 * maps.identity_map(2).choi)
-    g = maps.unitalize(f)
-    nptest.assert_allclose(g.choi, maps.identity_map(2).choi, atol=1e-12)
-
-
-def test_unitalize_already_unital_is_identity_operation():
-    ch = sampling.random_unital_channel_choi(_rng(9), 3)
-    f = maps.LinearMapRep(3, 3, ch)
-    g = maps.unitalize(f)
-    nptest.assert_allclose(g.choi, f.choi, atol=1e-10)
-
-
-def test_unitalize_singular_unit_image():
-    f = maps.embedded_transpose(1, 2, 2)  # unit image diag(1, 0)
-    with pytest.raises(SingularityError):
-        maps.unitalize(f)
-    g = maps.unitalize(f, eps=0.1)
-    assert maps.unitality_residual(g) <= 1e-10
-
-
-@given(st.integers(0, 30))
-def test_unitalize_keeps_cp(seed):
-    f = maps.LinearMapRep(3, 3, sampling.random_kraus_choi(_rng(seed), 3, 3))
-    g = maps.unitalize(f, eps=0.05)
-    assert maps.unitality_residual(g) <= 1e-10
-    assert matcore.min_eigenvalue(g.choi) >= -1e-9
-
-
 def test_hat_functional_identity_on_pairing_projector():
     # brute-force double sum: sum_kl Tr(e_kl^T e_kl) = n^2
     for n in (2, 3):
@@ -270,20 +196,6 @@ def test_hat_functional_blockwise_oracle(seed):
 def test_hat_functional_shape_guard():
     with pytest.raises(DimensionError):
         maps.hat_functional(maps.identity_map(2), np.eye(6))
-
-
-def test_classify_transpose():
-    rep = maps.classify_map(maps.transpose_map(3))
-    assert not rep.completely_positive
-    assert rep.positivity.status == "certified-yes"
-    assert rep.unital
-
-
-def test_classification_cp_is_certified():
-    kr = maps.LinearMapRep(2, 2, sampling.random_kraus_choi(_rng(6), 2, 2))
-    rep = maps.classify_map(kr)
-    assert rep.completely_positive
-    assert rep.positivity.status == "certified-yes"
 
 
 def test_embedded_transpose_action():

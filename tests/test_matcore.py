@@ -192,12 +192,6 @@ def test_embedded_swap_size_guard():
         matcore.embedded_swap(3, 2, 4)
 
 
-def test_embedded_max_entangled_is_pt_of_embedded_swap():
-    g = matcore.embedded_swap(2, 3, 4)
-    p = matcore.embedded_max_entangled(2, 3, 4)
-    nptest.assert_allclose(matcore.partial_transpose(g, (3, 4), "second"), p)
-
-
 def test_min_eigenvalue():
     assert abs(matcore.min_eigenvalue(np.diag([0.5, -0.25, 3.0])) + 0.25) < 1e-14
 
