@@ -24,6 +24,7 @@ BATTERY = [
     ["cbnorm", "--map", "reduction:2"],
     ["cbnorm", "--map", "reduction:3", "--verify"],
     ["cbnorm", "--map", "transpose:3", "--verify"],
+    ["cbnorm", "--map", "transpose:6", "--verify"],
     ["sep-check", "--element", "id_minus:swap:0.5", "--dims", "2x2", "--verify"],
     ["sep-check", "--element", "extremal:0.05", "--dims", "2x2", "--verify"],
     ["sep-check", "--element", "gue:0.3", "--dims", "2x3", "--seed", "7"],

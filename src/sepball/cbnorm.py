@@ -25,8 +25,9 @@ alternating search of ``amplification_norm`` over levels 1..k.  Either
 way the lower bound is recomputed from the contraction itself, so it is
 rigorous at any solver accuracy.
 
-The embedded corner transpose has both bounds in closed form
-(``embedded_transpose_norm``); the program serves every other map.
+Many maps need no program: ``closed_form`` pairs the polar parts of
+the Choi matrix with two fixed contractions, and ``cb_norm`` solves the
+program only where that sandwich stays open.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from . import matcore, maps, sampling, sdp
 from .errors import ConvergenceError, DimensionError
 
 LOOSE_RELATIVE_WIDTH = 1e-3  # of max(upper, 1): absolute below norm 1
+CLOSED_WIDTH = 1e-9  # of max(upper, 1): a closed form this narrow is kept
 PINV_RELATIVE_CUTOFF = 1e-12  # eigenvalues of rho_j below this share are 0
 
 
@@ -60,21 +62,15 @@ class MajorizingPair:
 
     def block_matrix(self) -> np.ndarray:
         b = self.target.choi
-        q = b.shape[0]
-        y = np.zeros((2 * q, 2 * q), dtype=np.complex128)
-        y[:q, :q] = self.phi1.choi
-        y[:q, q:] = b
-        y[q:, :q] = b.conj().T
-        y[q:, q:] = self.phi2.choi
-        return y
+        return np.block([[self.phi1.choi, b], [b.conj().T, self.phi2.choi]])
 
     def psd_margin(self) -> float:
         return matcore.min_eigenvalue(self.block_matrix())
 
     def bound(self) -> float:
-        """sqrt of the product of the unit-image norms."""
-        return float(np.sqrt(
-            _unit_image_norm(self.phi1) * _unit_image_norm(self.phi2)))
+        """sqrt of the product of the unit-image norms, root by root."""
+        return float(np.sqrt(_unit_image_norm(self.phi1))
+                     * np.sqrt(_unit_image_norm(self.phi2)))
 
 
 def _unit_image_norm(f: maps.LinearMapRep) -> float:
@@ -131,11 +127,11 @@ def _upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
                           constraints=constraints)
 
 
-def _certified_pair(psi: maps.LinearMapRep,
-                    sol: sdp.SdpSolution) -> MajorizingPair:
-    """The primal's pair, with eps * 1 added to both Choi matrices.
+def _certified_pair(psi: maps.LinearMapRep, sol: sdp.SdpSolution,
+                    scale: float) -> MajorizingPair:
+    """The primal's pair for psi / scale, times scale, with eps * 1 added.
 
-    eps = max(0, -lambda_min) of the solver's block matrix, so the pair
+    eps = max(0, -lambda_min) of the resulting block matrix, so the pair
     is positive semidefinite up to round-off and its ``bound()`` is a
     valid upper bound even where the iterate sits a little outside the
     cone.
@@ -143,8 +139,8 @@ def _certified_pair(psi: maps.LinearMapRep,
     n, m = psi.dim_in, psi.dim_out
     q = n * m
     y = sol.primal[0]
-    f1 = matcore.check_hermitian(y[:q, :q], rtol=1e-6)
-    f2 = matcore.check_hermitian(y[q:, q:], rtol=1e-6)
+    f1 = scale * matcore.check_hermitian(y[:q, :q], rtol=1e-6)
+    f2 = scale * matcore.check_hermitian(y[q:, q:], rtol=1e-6)
     raw = MajorizingPair(phi1=maps.LinearMapRep(n, m, f1),
                          phi2=maps.LinearMapRep(n, m, f2), target=psi)
     shift = max(0.0, -raw.psd_margin()) * np.eye(q)
@@ -188,22 +184,45 @@ def cb_upper_sdp(psi: maps.LinearMapRep,
                  options: sdp.SdpOptions | None = None):
     """Solve the majorizing-pair program; returns (value, pair, witness).
 
-    The value is the certified pair's ``bound()``; the witness is the
-    dual contraction at level dim_out (see ``_dual_witness``).
+    The program is solved for psi / ||Choi(psi)||, as the norm is
+    homogeneous.  The value is the certified pair's ``bound()`` on psi's
+    scale; the witness is the dual contraction at level dim_out (see
+    ``_dual_witness``).
     """
+    scale = matcore.operator_norm(psi.choi) or 1.0
+    unit = maps.LinearMapRep(psi.dim_in, psi.dim_out, psi.choi / scale)
     opts = options or sdp.SdpOptions(check_independence=False)
-    sol = sdp.solve(_upper_problem(psi), opts)
+    sol = sdp.solve(_upper_problem(unit), opts)
     if sol.status != "optimal":
         raise ConvergenceError(
             f"cb upper-bound program ended with status {sol.status}: "
             f"{sol.message}"
         )
-    pair = _certified_pair(psi, sol)
+    pair = _certified_pair(psi, sol, scale)
     return pair.bound(), pair, _dual_witness(psi, sol)
 
 
-def _apply_level(psi: maps.LinearMapRep, x: np.ndarray, k: int) -> np.ndarray:
-    return maps.apply_to_second_leg(psi, x, k)
+def closed_form(psi: maps.LinearMapRep) -> CbNormResult:
+    """The sandwich from one SVD of B = Choi(psi) = U S V*, with no solver.
+
+    Upper: [[U S U*, B], [B*, V S V*]] >= 0 (Paulsen, "Completely Bounded
+    Maps and Operator Algebras", 2002).  Lower: the identity or the corner
+    swap at level dim_out, clamped to the upper bound against round-off.
+    Exact on transposes, identities, embedded transposes and CP maps.
+    """
+    n, m = psi.dim_in, psi.dim_out
+    u, s, vh = np.linalg.svd(psi.choi)
+    polar = [maps.LinearMapRep(n, m, matcore.check_hermitian(
+        (w * s) @ w.conj().T)) for w in (u, vh.conj().T)]
+    pair = MajorizingPair(*polar, target=psi)
+    upper = pair.bound()
+    contractions = (np.eye(n * m, dtype=np.complex128),
+                    matcore.embedded_swap(min(m, n), m, n))
+    values = [matcore.operator_norm(maps.apply_to_second_leg(psi, x, m))
+              for x in contractions]
+    best = int(np.argmax(values))
+    return _sandwich(min(values[best], upper), upper, pair,
+                     contractions[best], m)
 
 
 def _polar_factor(g: np.ndarray) -> np.ndarray:
@@ -216,7 +235,7 @@ def _search_once(psi: maps.LinearMapRep, k: int, x0: np.ndarray, steps: int):
     x = x0
     value = -np.inf
     for _ in range(steps):
-        y = _apply_level(psi, x, k)
+        y = maps.apply_to_second_leg(psi, x, k)
         u_mat, s, vh = np.linalg.svd(y)
         new_value = float(s[0])
         u = u_mat[:, 0]
@@ -227,7 +246,7 @@ def _search_once(psi: maps.LinearMapRep, k: int, x0: np.ndarray, steps: int):
             value = max(value, new_value)
             break
         value = new_value
-    y = _apply_level(psi, x, k)
+    y = maps.apply_to_second_leg(psi, x, k)
     return float(np.linalg.norm(y, 2)), x
 
 
@@ -279,14 +298,18 @@ def _sandwich(lower: float, upper: float, pair: MajorizingPair,
 def cb_norm(psi: maps.LinearMapRep, level: int | None = None, seed: int = 0,
             budget: SearchBudget = SearchBudget(),
             options: sdp.SdpOptions | None = None) -> CbNormResult:
-    """Sandwich the cb norm between an explicit lower and the SDP upper bound.
+    """Sandwich the cb norm between explicit lower and certified upper bounds.
 
-    By default (``level`` None) the lower bound comes from the dual of
-    the upper program at level dim_out, and ``seed`` and ``budget`` are
-    unused.  An explicit ``level`` k takes the lower bound from the
-    seeded search of ``amplification_norm`` over levels 1..k instead.
+    By default (``level`` None) this is ``closed_form(psi)`` if it closes,
+    else the SDP bound with its dual's lower bound at level dim_out, and
+    ``seed`` and ``budget`` are unused.  An explicit ``level`` k takes the
+    lower bound from the seeded search of ``amplification_norm`` instead.
     """
-    if level is not None:  # search first: a bad level fails before the solve
+    if level is None:
+        res = closed_form(psi)
+        if res.upper - res.lower <= CLOSED_WIDTH * max(res.upper, 1.0):
+            return res
+    else:  # search first: a bad level fails before the solve
         lower, witness = amplification_norm(psi, level, seed=seed,
                                             budget=budget)
     upper, pair, dual_witness = cb_upper_sdp(psi, options=options)
@@ -295,26 +318,3 @@ def cb_norm(psi: maps.LinearMapRep, level: int | None = None, seed: int = 0,
         lower = matcore.operator_norm(
             maps.apply_to_second_leg(psi, witness, level))
     return _sandwich(lower, upper, pair, witness, level)
-
-
-def embedded_transpose_norm(d: int, n: int, m: int) -> CbNormResult:
-    """Closed-form sandwich for ``maps.embedded_transpose(d, n, m)``.
-
-    Both bounds equal the corner size d, with no solve and no search.
-    Upper: phi_1 = phi_2 = the corner projector P (Choi matrix diagonal,
-    ones at i*m + j for i, j < d).  The Choi matrix F of the map is the
-    corner swap, so F = P F P and F^2 = P, and [[P, F], [F, P]] >= 0
-    because it is unitarily equivalent to (P + F) (+) (P - F).  Each
-    unit image is d times the corner identity, so the pair bound is d.
-    Lower: (Id_k (x) psi)(S) = d |Omega><Omega| for the corner swap S of
-    C^k (x) C^n, a contraction, at level k = min(n, m).
-    """
-    psi = maps.embedded_transpose(d, n, m)
-    corner = np.zeros((n, m))
-    corner[:d, :d] = 1.0
-    p = maps.LinearMapRep(n, m, np.diag(corner.ravel()).astype(np.complex128))
-    pair = MajorizingPair(phi1=p, phi2=p, target=psi)
-    k = min(n, m)
-    witness = matcore.embedded_swap(d, k, n)
-    lower = matcore.operator_norm(maps.apply_to_second_leg(psi, witness, k))
-    return _sandwich(lower, pair.bound(), pair, witness, k)

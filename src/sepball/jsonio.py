@@ -24,8 +24,11 @@ def dumps(obj) -> str:
     Without ``indent`` the json module takes its C encoder; pipe the text
     through ``python -m json.tool`` to read it indented.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or an overflowed infinity
+        raise SchemaError(f"report cannot be encoded: {exc}") from exc
 
 
 def encode_matrix(m) -> list:

@@ -48,8 +48,8 @@ def check_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     """Validate Hermitian symmetry and return the symmetrized matrix.
 
     The check is ``max_ij |m_ij - conj(m_ji)| <= rtol * max(1, ||m||_F)``.
-    On success the exact Hermitian part ``(m + m^*)/2`` is returned so
-    that later eigendecompositions see a bitwise-symmetric input.
+    On success the exact Hermitian part ``m/2 + m^*/2`` (finite for finite
+    m) is returned so that eigensolvers see a bitwise-symmetric input.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -63,7 +63,7 @@ def check_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
             f"matrix is not Hermitian: |m[{i},{j}] - conj(m[{j},{i}])| = "
             f"{worst:.3e} exceeds {bound:.3e}"
         )
-    return (a + a.conj().T) / 2.0
+    return a / 2.0 + a.conj().T / 2.0
 
 
 def eig_hermitian(m, rtol: float = HERMITICITY_RTOL):

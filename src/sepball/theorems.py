@@ -21,7 +21,7 @@ pushes the kappa functional to its bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +50,8 @@ class KappaReport:
     lower: float
     upper: float
     checks: tuple[NamedCheck, ...]
+    # the sandwich behind ``upper``, whose pair --verify re-checks
+    sandwich: cbnorm.CbNormResult = field(repr=False)
 
     @property
     def passed(self) -> bool:
@@ -118,8 +120,8 @@ def kappa_matrix_check(n: int, m: int):
     vector; it is unital and positive on separable elements, and the
     embedded swap y (self-adjoint, norm one) drives it to min(n, m).
     Returns (lower bound, report); the report also carries the cb-norm
-    upper bound |Phi(y)| <= ||phi||_cb, certified in closed form by the
-    corner majorizing pair of ``cbnorm.embedded_transpose_norm``.
+    upper bound |Phi(y)| <= ||phi||_cb and its sandwich, certified with
+    no solver by the polar pair of ``cbnorm.closed_form(phi)``.
     """
     if n < 1 or m < 1:
         raise DimensionError(f"matrix sizes must be positive, got ({n}, {m})")
@@ -128,8 +130,8 @@ def kappa_matrix_check(n: int, m: int):
             f"matrix sizes ({n}, {m}) exceed the kappa cap {MATRIX_CAP}"
         )
     d = min(n, m)
-    cb = cbnorm.embedded_transpose_norm(d, m, n)
-    phi = cb.pair.target
+    phi = maps.embedded_transpose(d, m, n)
+    cb = cbnorm.closed_form(phi)
     y = matcore.embedded_swap(d, n, m)
     w = _pairing_vector(n, d)
 
@@ -162,7 +164,7 @@ def kappa_matrix_check(n: int, m: int):
                    upper + KAPPA_UPPER_SLACK - lower),
     )
     report = KappaReport(n=n, m=m, value=d, lower=float(lower),
-                         upper=float(upper), checks=checks)
+                         upper=float(upper), checks=checks, sandwich=cb)
     return float(lower), report
 
 
@@ -180,11 +182,7 @@ def rank_formula_report(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
                    -abs(float(product) - 1.0)),
     ]
 
-    sandwich = cbnorm.embedded_transpose_norm(eta_value, alg_a.rank,
-                                              alg_b.rank)
-    dev = max(abs(sandwich.lower - eta_value), abs(sandwich.upper - eta_value))
-    checks.append(NamedCheck("eta-witness-cb-bracket",
-                             dev <= CB_BRACKET_TOL, CB_BRACKET_TOL - dev))
+    sandwich = cbnorm.closed_form(eta_witness)
 
     entangled_total = sum(row.entangled for row in evidence.rows)
     checks.append(NamedCheck("gamma-ball-scan-clean", entangled_total == 0,

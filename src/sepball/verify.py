@@ -150,7 +150,7 @@ def rank_report(report: theorems.RankFormulaReport) -> tuple[NamedCheck, ...]:
         NamedCheck("sandwich-brackets-eta", dev <= theorems.CB_BRACKET_TOL,
                    theorems.CB_BRACKET_TOL - dev),
         *cbnorm_result(sandwich),
-        *_pair_checks(_corner_pair(kappa), kappa.upper, prefix="kappa-"),
+        *_pair_checks(kappa.sandwich.pair, kappa.upper, prefix="kappa-"),
         NamedCheck("kappa-below-upper",
                    kappa.lower <= kappa.upper + theorems.KAPPA_UPPER_SLACK,
                    kappa.upper + theorems.KAPPA_UPPER_SLACK - kappa.lower),
@@ -165,15 +165,9 @@ def rank_report(report: theorems.RankFormulaReport) -> tuple[NamedCheck, ...]:
     return tuple(checks)
 
 
-def _corner_pair(report: theorems.KappaReport) -> cbnorm.MajorizingPair:
-    """The corner majorizing pair behind ``report.upper``, rebuilt."""
-    return cbnorm.embedded_transpose_norm(report.value, report.m,
-                                          report.n).pair
-
-
 def kappa_report(report: theorems.KappaReport) -> tuple[NamedCheck, ...]:
     d = report.value
-    pair = _corner_pair(report)
+    pair = report.sandwich.pair
     y = matcore.embedded_swap(d, report.n, report.m)
     moved = maps.apply_to_second_leg(pair.target, y, report.n)
     w = theorems._pairing_vector(report.n, d)
@@ -217,9 +211,14 @@ def sdp_solution(problem: sdp.SdpProblem,
         for yi, (_, mats) in zip(sol.dual_y, problem.constraints):
             rebuilt -= yi * mats[j]
         slack_gap = max(slack_gap, float(np.max(np.abs(rebuilt - z))))
-    checks.append(NamedCheck("dual-slack-consistent",
-                             slack_gap <= SOLVER_RESIDUAL_TOL,
-                             SOLVER_RESIDUAL_TOL - slack_gap))
+    # relative to the largest entries of C and of y_i A_i, absolute below 1
+    a_max = max(np.max(np.abs(a)) for (_, mats) in problem.constraints
+                for a in mats)
+    slack_tol = SOLVER_RESIDUAL_TOL * max(
+        1.0, *(np.max(np.abs(c)) for c in problem.objective),
+        np.max(np.abs(sol.dual_y)) * a_max)
+    checks.append(NamedCheck("dual-slack-consistent", slack_gap <= slack_tol,
+                             slack_tol - slack_gap))
     rel = abs(sol.primal_obj - sol.dual_obj) / max(1.0, abs(sol.primal_obj))
     checks.append(NamedCheck("gap-small", rel <= SOLVER_RESIDUAL_TOL,
                              SOLVER_RESIDUAL_TOL - rel))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepball import cbnorm, maps, matcore, sampling, verify
+from sepball import cbnorm, maps, matcore, sampling, sdp, verify
 from sepball.errors import DimensionError
 
 
@@ -98,27 +98,45 @@ def test_embedded_transpose_cb_norm():
     assert res.lower >= 2.0 - 1e-6
 
 
-@pytest.mark.parametrize("d,n,m", [(1, 1, 2), (2, 2, 2), (2, 2, 3),
-                                   (2, 3, 2), (3, 3, 4), (4, 4, 4)])
-def test_embedded_transpose_closed_form_matches_sdp(d, n, m):
-    res = cbnorm.embedded_transpose_norm(d, n, m)
-    psi = maps.embedded_transpose(d, n, m)
-    assert np.array_equal(res.pair.target.choi, psi.choi)
+def _check_closed_form(psi, exact):
+    res = cbnorm.closed_form(psi)
+    assert res.pair.target is psi
+    assert abs(res.upper - exact) <= 1e-12 * exact
+    assert abs(res.lower - exact) <= 1e-12 * exact
+    assert res.lower <= res.upper
     sdp_upper, _, _ = cbnorm.cb_upper_sdp(psi)
-    assert abs(res.upper - sdp_upper) <= 1e-6 * d
-    assert abs(res.lower - d) <= 1e-12
-    searched, _ = cbnorm.amplification_norm(psi, min(n, m))
+    assert abs(res.upper - sdp_upper) <= 1e-6 * exact
+    searched, _ = cbnorm.amplification_norm(psi, min(psi.dim_in, psi.dim_out))
     assert res.lower >= searched - 1e-9
     assert res.pair.psd_margin() >= -1e-12
     assert matcore.operator_norm(res.witness) <= 1.0 + 1e-12
-    assert res.level == min(n, m) and not res.loose
+    assert res.level == psi.dim_out and not res.loose
+    assert all(c.passed for c in verify.cbnorm_result(res))
+
+
+@pytest.mark.parametrize("d,n,m", [(1, 1, 2), (2, 2, 2), (2, 2, 3),
+                                   (2, 3, 2), (3, 3, 4), (4, 4, 4)])
+def test_embedded_transpose_closed_form_matches_sdp(d, n, m):
+    _check_closed_form(maps.embedded_transpose(d, n, m), d)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_matches_sdp_on_transpose_and_identity(n):
+    _check_closed_form(maps.transpose_map(n), n)
+    _check_closed_form(maps.identity_map(n), 1)
+
+
+def criterion_03_map(i):
+    """Criterion 03's CP map #i (``test_criterion_03_cp_consistency``)."""
+    n, m = ((2, 2), (3, 2), (2, 3), (3, 3))[i % 4]
+    rng = sampling.rng_from(0xAC3, i)
+    return maps.LinearMapRep(n, m, sampling.random_kraus_choi(rng, n, m))
 
 
 def cp_map_45():
     """Criterion 03's CP map #45: its raw SDP iterate sits 3.6e-9 outside
     the cone, so the primal value undercuts the dual-witness lower bound."""
-    rng = sampling.rng_from(0xAC3, 45)
-    return maps.LinearMapRep(3, 2, sampling.random_kraus_choi(rng, 3, 2))
+    return criterion_03_map(45)
 
 
 def _general(n, m):
@@ -140,20 +158,79 @@ DUAL_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(DUAL_CASES))
-def test_dual_witness_closes_the_sandwich_without_search(name, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the default cb_norm path must not search")
-
-    monkeypatch.setattr(cbnorm, "amplification_norm", refuse)
+def test_dual_witness_closes_the_sandwich_without_search(name):
     f = DUAL_CASES[name]()
-    res = cbnorm.cb_norm(f)
-    assert res.level == f.dim_out
-    assert res.lower <= res.upper + 1e-12 * max(1.0, res.upper)
-    assert res.upper - res.lower <= 1e-8 * max(1.0, res.upper)
-    assert matcore.operator_norm(res.witness) <= 1.0 + 1e-12
-    assert res.pair.bound() == res.upper
+    upper, pair, witness = cbnorm.cb_upper_sdp(f)
+    lower = matcore.operator_norm(
+        maps.apply_to_second_leg(f, witness, f.dim_out))
+    assert lower <= upper + 1e-12 * max(1.0, upper)
+    assert upper - lower <= 1e-8 * max(1.0, upper)
+    assert matcore.operator_norm(witness) <= 1.0 + 1e-12
+    assert pair.bound() == upper
+    res = cbnorm.CbNormResult(lower=lower, upper=upper, pair=pair,
+                              witness=witness, level=f.dim_out, loose=False)
     checks = verify.cbnorm_result(res)
     assert all(c.passed for c in checks), checks
+
+
+def test_sdp_matches_unit_image_norm_on_criterion_03_maps():
+    # criterion 03's cb_norm takes the closed form; this keeps the solver
+    # checked against the same exact values
+    for i in range(8):
+        f = criterion_03_map(i)
+        upper, _, _ = cbnorm.cb_upper_sdp(f)
+        unit = matcore.operator_norm(maps.apply_map(f, np.eye(f.dim_in)))
+        assert abs(upper - unit) <= 1e-6 * unit
+
+
+class _Solved(Exception):
+    pass
+
+
+def test_cb_norm_solves_only_where_the_closed_form_is_open(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _Solved
+
+    monkeypatch.setattr(sdp, "solve", refuse)
+    closed = [(maps.transpose_map(n), n) for n in (2, 3, 6)]
+    closed += [(maps.identity_map(n), 1) for n in (2, 5)]
+    closed += [(maps.embedded_transpose(d, n, m), d)
+               for d, n, m in ((2, 3, 4), (3, 4, 3), (5, 5, 5))]
+    closed += [(f, matcore.operator_norm(maps.apply_map(f, np.eye(f.dim_in))))
+               for f in map(criterion_03_map, range(100))]
+    for f, exact in closed:
+        res = cbnorm.cb_norm(f)
+        assert abs(res.lower - exact) <= 1e-12 * exact
+        assert abs(res.upper - exact) <= 1e-12 * exact
+        assert res.lower <= res.upper and res.level == f.dim_out
+        assert all(c.passed for c in verify.cbnorm_result(res))
+    for f in (maps.reduction_map(3), _general(3, 4)):
+        with pytest.raises(_Solved):
+            cbnorm.cb_norm(f)
+
+
+@pytest.mark.parametrize("name", ["cp-45", "reduction:3", "general-4-2"])
+def test_cb_norm_is_homogeneous(name):
+    f = DUAL_CASES[name]()
+    base = cbnorm.cb_norm(f)
+    for c in (1e-8, 1e8, 1e20):
+        res = cbnorm.cb_norm(maps.LinearMapRep(f.dim_in, f.dim_out,
+                                               c * f.choi))
+        assert abs(res.lower - c * base.lower) <= 1e-6 * c * base.lower
+        assert abs(res.upper - c * base.upper) <= 1e-6 * c * base.upper
+        assert all(chk.passed for chk in verify.cbnorm_result(res))
+
+
+@pytest.mark.parametrize("v", [1e20, 1e150])
+def test_sdp_on_a_huge_choi_entry(v):
+    # the program is solved at unit scale: unscaled it ended in maxiter
+    choi = maps.transpose_map(2).choi.copy()
+    choi[1, 0] = v
+    f = maps.LinearMapRep(2, 2, choi)
+    upper, pair, _ = cbnorm.cb_upper_sdp(f)
+    closed = cbnorm.closed_form(f)
+    assert abs(upper - closed.upper) <= 1e-6 * closed.upper
+    assert pair.target is f and pair.bound() == upper
 
 
 def test_certified_pair_is_psd_where_the_iterate_is_not():

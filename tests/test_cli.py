@@ -200,12 +200,14 @@ def test_sdp_solve_large_entries_stay_feasible_bounded(tmp_path, capsys,
     prob, optimum = _scaled_problem(case, v)
     path = tmp_path / "prob.json"
     path.write_text(jsonio.dumps(jsonio.encode_sdp_problem(prob)))
-    code, out, _ = _run(capsys, "sdp-solve", "--problem", str(path))
+    code, out, _ = _run(capsys, "sdp-solve", "--problem", str(path),
+                        "--verify")
     doc = json.loads(out)
     assert doc["status"] not in ("unbounded", "infeasible")
     assert code == (0 if doc["status"] == "optimal" else 1)
     if doc["status"] == "optimal":
         assert abs(doc["primalObjective"] - optimum) <= 1e-6 * abs(optimum)
+        assert doc["verify"]["passed"] is True
 
 
 def test_sdp_solve_without_constraints_is_error(tmp_path, capsys):
@@ -418,11 +420,23 @@ def _overflow_case(kind, value, tmp_path):
 def test_overflowing_finite_data_are_one_line_errors(tmp_path, capsys,
                                                      kind, value):
     # finite inputs whose squares or Hermitian parts overflow used to end
-    # in scipy's "array must not contain infs or NaNs" traceback
-    code, out, err = _run(capsys, *_overflow_case(kind, value, tmp_path))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("sepball: error: ") and err.count("\n") == 1
+    # in scipy's "array must not contain infs or NaNs" traceback; the huge
+    # map's cb norm (= value up to O(1)) is answered in closed form where
+    # its report and re-checks fit in double precision
+    argv = _overflow_case(kind, value, tmp_path)
+    for extra in ([], ["--verify"]) if kind == "cbnorm-file-map" else ([],):
+        code, out, err = _run(capsys, *argv, *extra)
+        if kind == "cbnorm-file-map" and (value == 1e160 or code == 0):
+            assert code == 0 and err == ""
+            doc = json.loads(out)
+            assert abs(doc["lower"] / value - 1.0) <= 1e-12
+            assert abs(doc["upper"] / value - 1.0) <= 1e-12
+            assert not extra or doc["verify"]["passed"] is True
+        else:
+            assert code == 1
+            assert out == ""
+            assert err.startswith("sepball: error: ")
+            assert err.count("\n") == 1
 
 
 def _fresh_interpreter(argv):

@@ -16,8 +16,10 @@ def test_dumps_is_stable_and_newline_terminated():
 
 
 def test_dumps_rejects_nan():
-    with pytest.raises(ValueError):
-        jsonio.dumps({"x": float("nan")})
+    # a SchemaError, so the CLI reports it as one error line
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(SchemaError):
+            jsonio.dumps({"x": bad})
 
 
 def _outside_strings(text: str) -> str:
