@@ -23,6 +23,7 @@ BATTERY = [
     ["cbnorm", "--map", "identity:3", "--verify"],
     ["cbnorm", "--map", "reduction:2"],
     ["cbnorm", "--map", "reduction:3", "--verify"],
+    ["cbnorm", "--map", "reduction:4", "--verify"],
     ["cbnorm", "--map", "transpose:3", "--verify"],
     ["cbnorm", "--map", "transpose:6", "--verify"],
     ["sep-check", "--element", "id_minus:swap:0.5", "--dims", "2x2", "--verify"],

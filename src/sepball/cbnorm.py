@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from . import matcore, maps, sampling, sdp
 from .errors import ConvergenceError, DimensionError
@@ -89,42 +90,50 @@ class CbNormResult:
 
 
 def _upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
+    """The majorizing-pair program for psi, its rows written as entries.
+
+    Blocks are Y, rho_1, rho_2 and t.  Rows 2k and 2k + 1 (k = u q + w)
+    fix the real and imaginary parts of entry (u, w) of Y's off-diagonal
+    block to those of Choi(psi).  The last 2 m^2 rows set
+    <1_n (x) h, Y_jj> + <h, rho_j> = Tr(h) t for h in
+    ``sdp.hermitian_basis(m)``, that is Tr_1 Y_jj + rho_j = t 1.
+    """
     n, m = psi.dim_in, psi.dim_out
     q = n * m
     big = 2 * q
     blocks = (big, m, m, 1)
-    zero = [np.zeros((d, d), dtype=np.complex128) for d in blocks]
+    p_pair = 2 * q * q
+    entries = [[] for _ in blocks]  # (row, flat index, value) per block
 
-    def fresh():
-        return [z.copy() for z in zero]
+    k = np.arange(q * q)
+    u, w = np.divmod(k, q)
+    upper, lower = u * big + q + w, (q + w) * big + u  # (u, q+w), (q+w, u)
+    one = np.ones(q * q, dtype=np.complex128)
+    entries[0] += [(2 * k, upper, one), (2 * k, lower, one),
+                   (2 * k + 1, upper, 1j * one), (2 * k + 1, lower, -1j * one)]
 
-    constraints = []
-    b = psi.choi
-    for u in range(q):
-        for w in range(q):
-            re = fresh()
-            re[0][u, q + w] = 1.0
-            re[0][q + w, u] = 1.0
-            constraints.append((2.0 * float(b[u, w].real), re))
-            im = fresh()
-            im[0][u, q + w] = 1.0j
-            im[0][q + w, u] = -1.0j
-            constraints.append((2.0 * float(b[u, w].imag), im))
+    basis = np.array(sdp.hermitian_basis(m))  # E_kk (trace 1) come first
+    t, a, c = np.nonzero(basis)
+    v = basis[t, a, c]
+    for j in (0, 1):
+        row = p_pair + j * m * m + t
+        for i in range(n):
+            off = j * q + i * m
+            entries[0].append((row, (off + a) * big + off + c, v))
+        entries[1 + j].append((row, a * m + c, v))
+        diag = p_pair + j * m * m + np.arange(m)
+        entries[3].append((diag, 0 * diag, np.full(m, -1 + 0j)))
 
-    eye_n = np.eye(n)
-    for j, sblock in ((0, 1), (1, 2)):
-        off = j * q
-        for h in sdp.hermitian_basis(m):
-            mats = fresh()
-            mats[0][off:off + q, off:off + q] = matcore.kron(eye_n, h)
-            mats[sblock] = h.astype(np.complex128)
-            mats[3][0, 0] = -float(np.real(np.trace(h)))
-            constraints.append((0.0, mats))
-
-    objective = fresh()
-    objective[3][0, 0] = 1.0
-    return sdp.SdpProblem(blocks=blocks, objective=objective,
-                          constraints=constraints)
+    p = p_pair + 2 * m * m
+    rows = []
+    for parts, d in zip(entries, blocks):
+        r, col, val = (np.concatenate(x) for x in zip(*parts))
+        rows.append(scipy.sparse.csr_matrix((val, (r, col)),
+                                            shape=(p, d * d)))
+    rhs = np.zeros(p)
+    rhs[:p_pair] = 2.0 * psi.choi.ravel().view(np.float64)  # re, im, ...
+    objective = [np.zeros((d, d)) for d in blocks[:3]] + [np.ones((1, 1))]
+    return sdp.SdpProblem.from_rows(blocks, objective, rhs, rows)
 
 
 def _certified_pair(psi: maps.LinearMapRep, sol: sdp.SdpSolution,

@@ -44,10 +44,20 @@ def frobenius_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
+def binary_exponent(m) -> int:
+    """The least e >= 0 with every real and imaginary part of m below
+    2**e (0 if one is not finite).  Scaling m by 2**-e is exact for every
+    entry that stays normal, so its norms and eigenvalues scale back."""
+    a = np.asarray(m)
+    top = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
+    return max(0, int(np.frexp(top)[1]))
+
+
 def check_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     """Validate Hermitian symmetry and return the symmetrized matrix.
 
-    The check is ``max_ij |m_ij - conj(m_ji)| <= rtol * max(1, ||m||_F)``.
+    The check is ``max_ij |m_ij - conj(m_ji)| <= rtol * max(1, ||m||_F)``,
+    the norm taken on m scaled by ``binary_exponent`` so it cannot overflow.
     On success the exact Hermitian part ``m/2 + m^*/2`` (finite for finite
     m) is returned so that eigensolvers see a bitwise-symmetric input.
     """
@@ -56,13 +66,15 @@ def check_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
         raise DimensionError(f"Hermitian check needs a square matrix, got {a.shape}")
     dev = np.abs(a - a.conj().T)
     worst = float(dev.max())
-    bound = rtol * max(1.0, frobenius_norm(a))
-    if worst > bound:
-        i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-        raise HermiticityError(
-            f"matrix is not Hermitian: |m[{i},{j}] - conj(m[{j},{i}])| = "
-            f"{worst:.3e} exceeds {bound:.3e}"
-        )
+    if worst > rtol:  # up to rtol it passes whatever the norm
+        e = binary_exponent(a)
+        bound = max(rtol, float(np.ldexp(rtol * frobenius_norm(a * 2.0 ** -e), e)))
+        if worst > bound:
+            i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+            raise HermiticityError(
+                f"matrix is not Hermitian: |m[{i},{j}] - conj(m[{j},{i}])| "
+                f"= {worst:.3e} exceeds {bound:.3e}"
+            )
     return a / 2.0 + a.conj().T / 2.0
 
 

@@ -11,16 +11,17 @@ blocks are handled natively: the Nesterov-Todd scaling, the Schur
 complement and all eigencomputations run in complex arithmetic, never
 through a doubled real embedding.
 
-Constraint rows come in two kinds, sorted once per solve.  An entrywise
-row sits in one block as v E_ab + conj(v) E_ba (a != b) or v E_aa (v
-real).  Between two entrywise rows of one block the Schur entry
-Tr(A_i W A_j W) is a product of four entries of W (the structured Schur
-formulas of Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), so that
-square of the Schur matrix costs O(1) per entry and needs no stacks; it
-is zero across blocks.  Every other row is dense: it keeps its (d, d)
-matrices, pays O(d^3) per block for W A_j W, and fills its row and
-column of the Schur matrix with one sparse product.  A problem without
-entrywise rows runs exactly the dense arithmetic.
+Constraint rows are stored once, as one CSR matrix per block, and come
+in two kinds, sorted once per solve.  An entrywise row sits in one block
+as v E_ab + conj(v) E_ba (a != b) or v E_aa (v real).  Between two
+entrywise rows of one block the Schur entry Tr(A_i W A_j W) is a product
+of four entries of W (the structured Schur formulas of Fujisawa, Kojima
+and Nakata, Math. Prog. 79, 1997), so that square of the Schur matrix
+costs O(1) per entry and needs no stacks; it is zero across blocks.
+Every other row is dense: it is expanded to its (d, d) matrices, pays
+O(d^3) per block for W A_j W, and fills its row and column of the Schur
+matrix with one sparse product.  A problem without entrywise rows runs
+exactly the dense arithmetic.
 
 The search direction is the Nesterov-Todd one with a Mehrotra
 predictor-corrector, formed in the scaled frame of Todd, Toh and
@@ -50,7 +51,7 @@ from .errors import ConvergenceError, DimensionError
 STEP_FRACTION = 0.98
 DIVERGENCE_SCALE = 1e8
 LOOSE_MERIT = 1e-7  # accept early-terminated iterates up to this KKT merit
-# Entries per chunk of an elementwise pass over a stack or the Schur
+# Entries per chunk of ``_unit_schur``'s elementwise pass over the Schur
 # matrix: whole-array temporaries of a few MB ran 2-3x slower.
 CHUNK_ENTRIES = 1 << 15
 
@@ -75,39 +76,77 @@ class SdpOptions:
 class SdpProblem:
     """Standard-form problem data; all coefficient matrices Hermitian.
 
-    ``stacks[j]`` holds block j of every constraint matrix as one
-    (p, d_j, d_j) array; the matrices in ``constraints`` are views of it.
+    ``rows[j]`` is one CSR matrix of shape (p, d_j**2) whose row i holds
+    block j of A_i, row-major, as its Hermitian part; ``rhs[i]`` is b_i.
+    ``constraints`` builds the dense (b_i, matrices) tuples on demand.
     """
 
     blocks: tuple[int, ...]
     objective: tuple[np.ndarray, ...]
-    constraints: tuple[tuple[float, tuple[np.ndarray, ...]], ...]
-    stacks: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    rhs: np.ndarray = field(repr=False, compare=False)
+    rows: tuple = field(repr=False, compare=False)
 
     def __init__(self, blocks, objective, constraints):
-        blocks = tuple(int(d) for d in blocks)
-        if len(blocks) == 0 or any(d < 1 for d in blocks):
-            raise DimensionError(f"invalid block sizes {blocks}")
-        if len(objective) != len(blocks):
-            raise DimensionError("objective needs one matrix per block")
-        obj = tuple(
-            matcore.check_hermitian(_sized(c, d)) for c, d in zip(objective, blocks)
-        )
+        """Checks each constraint's rhs, then each block's shape and
+        symmetry, in constraint order."""
+        blocks, obj = _checked_head(blocks, objective)
         if len(constraints) == 0:
             raise DimensionError("the problem needs at least one constraint")
-        rhs, stacks = _constraint_stacks(blocks, constraints)
-        if not all(np.isfinite(a).all() for a in obj + stacks):
+        rhs = np.empty(len(constraints))
+        flats = [[] for _ in blocks]
+        for idx, (r, mats) in enumerate(constraints):
+            rhs[idx] = float(r)
+            if not np.isfinite(rhs[idx]):
+                raise DimensionError(f"constraint {idx} has non-finite rhs")
+            if len(mats) != len(blocks):
+                raise DimensionError(
+                    f"constraint {idx} needs one matrix per block"
+                )
+            for flat, a, d in zip(flats, mats, blocks):
+                flat.append(matcore.check_hermitian(_sized(a, d)).ravel())
+        self._store(blocks, obj, rhs, tuple(
+            scipy.sparse.csr_matrix(np.array(f)) for f in flats))
+
+    @classmethod
+    def from_rows(cls, blocks, objective, rhs, rows) -> SdpProblem:
+        """A problem from rows already in the stored form (no symmetry test)."""
+        self = object.__new__(cls)
+        self._store(*_checked_head(blocks, objective),
+                    np.asarray(rhs, dtype=float), tuple(rows))
+        return self
+
+    def _store(self, blocks, obj, rhs, rows) -> None:
+        if not all(np.isfinite(a).all()
+                   for a in obj + (rhs,) + tuple(r.data for r in rows)):
             raise DimensionError("the Hermitian parts of the problem data "
                                  "overflow the float range")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", tuple(
-            (r, tuple(s[i] for s in stacks)) for i, r in enumerate(rhs)))
-        object.__setattr__(self, "stacks", stacks)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def constraints(self) -> tuple[tuple[float, tuple[np.ndarray, ...]], ...]:
+        dense = [r.toarray().reshape(-1, d, d)
+                 for r, d in zip(self.rows, self.blocks)]
+        return tuple((float(b), tuple(s[i] for s in dense))
+                     for i, b in enumerate(self.rhs))
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.rhs)
+
+
+def _checked_head(blocks, objective):
+    """(blocks, objective) validated, the objective as Hermitian parts."""
+    blocks = tuple(int(d) for d in blocks)
+    if len(blocks) == 0 or any(d < 1 for d in blocks):
+        raise DimensionError(f"invalid block sizes {blocks}")
+    if len(objective) != len(blocks):
+        raise DimensionError("objective needs one matrix per block")
+    return blocks, tuple(
+        matcore.check_hermitian(_sized(c, d)) for c, d in zip(objective, blocks)
+    )
 
 
 def _sized(m, d: int) -> np.ndarray:
@@ -115,65 +154,6 @@ def _sized(m, d: int) -> np.ndarray:
     if a.shape != (d, d):
         raise DimensionError(f"matrix of shape {a.shape} does not fit block {d}")
     return a
-
-
-def _constraint_stacks(blocks, constraints):
-    """Validate the constraints; returns (rhs list, per-block stacks).
-
-    The checks and their order are those of one pass per constraint (rhs,
-    then each block's shape and Hermitian symmetry), but the Hermitian
-    test runs on whole stacks (``_hermitian_parts``).
-    """
-    p = len(constraints)
-    stacks = tuple(np.empty((p, d, d), dtype=np.complex128) for d in blocks)
-    rhs = []
-    for idx, entry in enumerate(constraints):
-        filled = 0
-        try:
-            r, mats = entry
-            r = float(r)
-            if not np.isfinite(r):
-                raise DimensionError(f"constraint {idx} has non-finite rhs")
-            if len(mats) != len(blocks):
-                raise DimensionError(
-                    f"constraint {idx} needs one matrix per block"
-                )
-            for stack, a, d in zip(stacks, mats, blocks):
-                stack[idx] = _sized(a, d)
-                filled += 1
-        except Exception:
-            # a non-Hermitian matrix earlier in constraint order fails first
-            _hermitian_parts(stacks, [idx + (j < filled)
-                                      for j in range(len(blocks))])
-            raise
-        rhs.append(r)
-    _hermitian_parts(stacks, [p] * len(blocks))
-    return rhs, stacks
-
-
-def _hermitian_parts(stacks, rows) -> None:
-    """Replace ``stacks[j][:rows[j]]`` by their Hermitian parts, in place.
-
-    Each chunk of a stack gets ``matcore.check_hermitian``'s test at once,
-    at half its bound.  The few matrices that come that close to failing
-    are then checked one by one in constraint order, so the first that
-    fails raises ``check_hermitian``'s own error.
-    """
-    suspects = []
-    for j, (stack, n) in enumerate(zip(stacks, rows)):
-        step = max(1, CHUNK_ENTRIES // stack[0].size)
-        for lo in range(0, n, step):
-            c = stack[lo:min(n, lo + step)]
-            k = c.shape[0]
-            h = c.conj().transpose(0, 2, 1)
-            dev = np.abs(c - h).reshape(k, -1).max(axis=1)
-            scale = np.maximum(1.0, np.linalg.norm(c.reshape(k, -1), axis=1))
-            close = dev > 0.5 * matcore.HERMITICITY_RTOL * scale
-            suspects += [(lo + int(i), j, c[i].copy())
-                         for i in np.flatnonzero(close)]
-            c[...] = (c + h) / 2.0
-    for _, _, a in sorted(suspects, key=lambda s: s[:2]):
-        matcore.check_hermitian(a)
 
 
 @dataclass(frozen=True)
@@ -209,10 +189,11 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
 
 
 class _Compiled:
-    """Constraint data: sparse rows, entrywise units and dense stacks.
+    """Constraint data: the problem's CSR rows, entrywise units and one
+    dense stack.
 
     Rows are sorted once into entrywise rows (see ``_entrywise_units``)
-    and dense rows; only the dense rows keep a (p_dense, d, d) stack.
+    and dense rows; only the dense rows get a (p_dense, d, d) stack.
     """
 
     def __init__(self, problem: SdpProblem, check_independence: bool):
@@ -221,19 +202,18 @@ class _Compiled:
         self.inconsistent = None
 
         p = problem.num_constraints
-        b = np.array([rhs for rhs, _ in problem.constraints], dtype=float)
-        stacks = problem.stacks
+        b, rows = problem.rhs, problem.rows
 
         keep = np.arange(p)
         if check_independence and p > 1:
-            keep, dropped, inconsistent = _independent_rows(stacks, b)
+            keep, dropped, inconsistent = _independent_rows(rows, b)
             if dropped:
                 warnings.warn(
                     f"dropped {len(dropped)} linearly dependent constraint rows: "
                     f"{sorted(dropped)}",
                     stacklevel=3,
                 )
-                stacks = [s[keep] for s in stacks]
+                rows = [r[keep] for r in rows]
             if inconsistent is not None:
                 self.inconsistent = (
                     f"constraint {inconsistent} is a linear combination of the "
@@ -243,10 +223,7 @@ class _Compiled:
         self.keep = keep
         self.b = b[keep]
         self.p = len(keep)
-        self.csr = [
-            scipy.sparse.csr_matrix(s.reshape(self.p, d * d))
-            for s, d in zip(stacks, problem.blocks)
-        ]
+        self.csr = list(rows)
         self.csr_conj = [a.conj().tocsr() for a in self.csr]
         self.csr_t = [a.T.tocsr() for a in self.csr]
         self.units = []  # (block, square of M its rows span, a, b, v)
@@ -262,9 +239,8 @@ class _Compiled:
                 square = np.ix_(rows, rows)
             self.units.append((j, square, a, b, v))
         self.dense = np.flatnonzero(~entrywise)
-        if len(self.dense) < self.p:
-            stacks = [s[self.dense] for s in stacks]
-        self.stacks = stacks
+        self.stacks = [r[self.dense].toarray().reshape(-1, d, d)
+                       for r, d in zip(self.csr, self.blocks)]
         self.norm_b = float(np.linalg.norm(self.b))
         self.norm_c = float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in self.C)))
 
@@ -365,19 +341,15 @@ def _unit_schur(w, a, b, v) -> np.ndarray:
     return out
 
 
-def _independent_rows(stacks, b):
+def _independent_rows(rows, b):
     """Select a maximal independent subset of constraint rows via pivoted QR.
 
     Each row and its right-hand side are first scaled to unit row norm,
     so that one huge row does not make the others look dependent.
     """
     p = len(b)
-    cols = []
-    for s in stacks:
-        flat = s.reshape(p, -1)
-        cols.append(flat.real)
-        cols.append(flat.imag)
-    v = np.hstack(cols)  # (p, total real dof)
+    dense = [r.toarray() for r in rows]
+    v = np.hstack([x for a in dense for x in (a.real, a.imag)])  # (p, dof)
     norms = np.linalg.norm(v, axis=1)
     norms[norms == 0.0] = 1.0
     v = v / norms[:, None]

@@ -25,12 +25,16 @@ LOWER_REPRODUCE_TOL = 1e-12  # a lower bound, recomputed from its contraction
 
 
 def _psd_check(name: str, m: np.ndarray) -> NamedCheck:
-    """lambda_min(m) >= -slack * max(1, ||m||), from one eigvalsh of m."""
-    w = matcore.eigvals_hermitian(m)
+    """lambda_min(m) >= -slack * max(1, ||m||), from one eigvalsh of m
+    scaled by ``matcore.binary_exponent``; a non-finite margin fails."""
+    e = matcore.binary_exponent(m)
+    w = matcore.eigvals_hermitian(m * 2.0 ** -e)
     lam = float(w[0])
-    scale = max(1.0, abs(lam), float(w[-1]))
-    return NamedCheck(name, lam >= -SOLVER_PSD_SLACK * scale,
-                      lam + SOLVER_PSD_SLACK * scale)
+    scale = max(2.0 ** -e, abs(lam), float(w[-1]))
+    with np.errstate(over="ignore"):
+        margin = float(np.ldexp(lam + SOLVER_PSD_SLACK * scale, e))
+    return NamedCheck(name, lam >= -SOLVER_PSD_SLACK * scale
+                      and bool(np.isfinite(margin)), margin)
 
 
 def _pair_checks(pair: cbnorm.MajorizingPair, upper: float,
@@ -192,11 +196,12 @@ def sdp_solution(problem: sdp.SdpProblem,
     """
     if sol.status not in ("optimal", "maxiter"):
         return (NamedCheck("certificate-emitted", True, 0.0),)
-    b = np.array([rhs for (rhs, _) in problem.constraints])
+    cons = problem.constraints
+    b = problem.rhs
     vals = np.array([
         sum(float(np.real(np.trace(a @ x)))
             for a, x in zip(mats, sol.primal))
-        for (_, mats) in problem.constraints
+        for (_, mats) in cons
     ])
     pres = float(np.linalg.norm(vals - b) / (1.0 + np.linalg.norm(b)))
     checks = [NamedCheck("primal-feasible", pres <= SOLVER_RESIDUAL_TOL,
@@ -208,12 +213,11 @@ def sdp_solution(problem: sdp.SdpProblem,
     slack_gap = 0.0
     for j, (c, z) in enumerate(zip(problem.objective, sol.dual_slack)):
         rebuilt = c.astype(np.complex128).copy()
-        for yi, (_, mats) in zip(sol.dual_y, problem.constraints):
+        for yi, (_, mats) in zip(sol.dual_y, cons):
             rebuilt -= yi * mats[j]
         slack_gap = max(slack_gap, float(np.max(np.abs(rebuilt - z))))
     # relative to the largest entries of C and of y_i A_i, absolute below 1
-    a_max = max(np.max(np.abs(a)) for (_, mats) in problem.constraints
-                for a in mats)
+    a_max = max(np.max(np.abs(a)) for (_, mats) in cons for a in mats)
     slack_tol = SOLVER_RESIDUAL_TOL * max(
         1.0, *(np.max(np.abs(c)) for c in problem.objective),
         np.max(np.abs(sol.dual_y)) * a_max)

@@ -238,7 +238,8 @@ def test_criterion_10_sdp_health():
         assert sol.status == "optimal", f"seed {seed}: {sol.status}"
         xs = sol.primal
         scale = 1.0 + max(float(np.linalg.norm(x)) for x in xs)
-        for (rhs, mats) in prob.constraints:
+        cons = prob.constraints
+        for (rhs, mats) in cons:
             val = sum(float(np.real(np.trace(a @ x)))
                       for a, x in zip(mats, xs))
             assert abs(val - rhs) <= 1e-7 * scale
@@ -248,8 +249,7 @@ def test_criterion_10_sdp_health():
         duals = sol.dual_y
         for b, c in enumerate(prob.objective):
             resid = c - sol.dual_slack[b] - sum(
-                duals[i] * prob.constraints[i][1][b]
-                for i in range(len(prob.constraints)))
+                duals[i] * mats[b] for i, (_, mats) in enumerate(cons))
             assert float(np.linalg.norm(resid)) <= 1e-7 * (
                 1.0 + float(np.linalg.norm(c)))
         assert sol.rel_gap <= 1e-7

@@ -249,3 +249,57 @@ def test_scaled_witness_fails_lower_reproduced():
     assert not checks["lower-reproduced"].passed
     assert all(c.passed for name, c in checks.items()
                if name != "lower-reproduced")
+
+
+def _dense_upper_problem(psi):
+    """The majorizing-pair program built one dense matrix per block and
+    row, through the dense ``SdpProblem`` constructor."""
+    n, m = psi.dim_in, psi.dim_out
+    q = n * m
+    big = 2 * q
+    blocks = (big, m, m, 1)
+
+    def zero_row():
+        return [np.zeros((d, d), dtype=np.complex128) for d in blocks]
+
+    constraints = []
+    b = psi.choi
+    for u in range(q):
+        for w in range(q):
+            re = zero_row()
+            re[0][u, q + w] = 1.0
+            re[0][q + w, u] = 1.0
+            constraints.append((2.0 * float(b[u, w].real), re))
+            im = zero_row()
+            im[0][u, q + w] = 1.0j
+            im[0][q + w, u] = -1.0j
+            constraints.append((2.0 * float(b[u, w].imag), im))
+    eye_n = np.eye(n)
+    for j, sblock in ((0, 1), (1, 2)):
+        off = j * q
+        for h in sdp.hermitian_basis(m):
+            mats = zero_row()
+            mats[0][off:off + q, off:off + q] = matcore.kron(eye_n, h)
+            mats[sblock] = h.astype(np.complex128)
+            mats[3][0, 0] = -float(np.real(np.trace(h)))
+            constraints.append((0.0, mats))
+    objective = zero_row()
+    objective[3][0, 0] = 1.0
+    return sdp.SdpProblem(blocks=blocks, objective=objective,
+                          constraints=constraints)
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (3, 4)])
+def test_upper_problem_matches_dense_construction(n, m):
+    rng = sampling.rng_from(0xCB0, n, m)
+    g = sampling.complex_gaussian(rng, (n * m, n * m))
+    for choi in (g + g.conj().T, g):
+        psi = maps.LinearMapRep(n, m, choi)
+        got, want = cbnorm._upper_problem(psi), _dense_upper_problem(psi)
+        assert got.blocks == want.blocks
+        assert got.rhs.tobytes() == want.rhs.tobytes()
+        for x, y in zip(got.objective, want.objective):
+            assert x.tobytes() == y.tobytes()
+        for x, y in zip(got.rows, want.rows):
+            for f in ("indptr", "indices", "data"):
+                assert getattr(x, f).tobytes() == getattr(y, f).tobytes()

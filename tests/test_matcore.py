@@ -50,6 +50,23 @@ def test_check_hermitian_names_worst_entry():
     assert "m[0,1]" in str(err.value)
 
 
+def test_check_hermitian_beyond_the_norm_range():
+    # ||m||_F overflows here; the bound must not
+    with pytest.raises(HermiticityError):
+        matcore.check_hermitian([[1e200, 1e199], [0.0, 1.0]])
+    m = np.array([[1e300, 1e300j], [-1e300j, 1e300]])
+    nptest.assert_array_equal(matcore.check_hermitian(m), m)
+
+
+def test_check_hermitian_bound_is_unchanged_where_the_norm_fits():
+    m = np.array([[3.0, 4.0 + 1e-11], [4.0, 5.0]])
+    fro = float(np.linalg.norm(m))
+    with pytest.raises(HermiticityError) as err:
+        matcore.check_hermitian(m)
+    assert str(err.value).endswith(
+        f"exceeds {matcore.HERMITICITY_RTOL * fro:.3e}")
+
+
 def test_check_hermitian_symmetrizes_roundoff():
     m = np.array([[1.0, 1e-15j], [0.0, 2.0]])
     out = matcore.check_hermitian(m)

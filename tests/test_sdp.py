@@ -81,11 +81,12 @@ def test_random_strictly_feasible_kkt(seed):
     assert sol.status == "optimal"
     x = sol.primal[0]
     scale = 1.0 + float(np.linalg.norm(x))
-    for (rhs, (a,)) in prob.constraints:
+    cons = prob.constraints
+    for (rhs, (a,)) in cons:
         assert abs(np.real(np.trace(a @ x)) - rhs) < 1e-7 * scale
     assert matcore.min_eigenvalue(x) >= -1e-8 * scale
     z = prob.objective[0] - sum(
-        y * a for y, (_, (a,)) in zip(sol.dual_y, prob.constraints))
+        y * a for y, (_, (a,)) in zip(sol.dual_y, cons))
     nptest.assert_allclose(z, sol.dual_slack[0], atol=1e-6)
     assert matcore.min_eigenvalue(sol.dual_slack[0]) >= -1e-8
     assert sol.rel_gap < 1e-7
@@ -180,6 +181,9 @@ def test_problem_validation():
                        constraints=((float("nan"), (np.eye(2),)),))
     with pytest.raises(DimensionError):
         sdp.SdpProblem(blocks=(2,), objective=(np.eye(2),), constraints=())
+    with pytest.raises(HermiticityError):  # its Frobenius norm overflows
+        sdp.SdpProblem(blocks=(2,), objective=(np.eye(2),), constraints=(
+            (1.0, (np.array([[1e200, 1e199], [0.0, 1.0]]),)),))
 
 
 def test_problem_validation_reports_first_bad_matrix():
@@ -205,13 +209,17 @@ def test_problem_validation_reports_first_bad_matrix():
     assert str(exc.value) == messages[1]
 
 
-def test_problem_stacks_hold_hermitian_parts():
-    a = np.array([[1.0, 1j], [-1j + 1e-14, 2.0]])
-    prob = sdp.SdpProblem(blocks=(2,), objective=(np.eye(2),),
+def test_problem_rows_store_each_hermitian_part():
+    a = np.array([[1.0, 1j, 0.0], [-1j + 1e-14, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    prob = sdp.SdpProblem(blocks=(3,), objective=(np.eye(3),),
                           constraints=((1.0, (a,)),))
     want = matcore.check_hermitian(a)
-    assert prob.stacks[0][0].tobytes() == want.tobytes()
-    assert prob.constraints[0][1][0].base is prob.stacks[0]
+    row = prob.rows[0]
+    assert row.shape == (1, 9) and row.nnz == 4
+    assert row.toarray().tobytes() == want.reshape(1, 9).tobytes()
+    assert prob.rhs.tobytes() == np.array([1.0]).tobytes()
+    ((rhs, (got,)),) = prob.constraints
+    assert rhs == 1.0 and got.tobytes() == want.tobytes()
 
 
 def test_solution_close_to_analytic_optimizer():
@@ -296,8 +304,9 @@ def test_schur_matches_dense_oracle(case):
 
     p = prob.num_constraints
     want = np.zeros((p, p))
+    cons = prob.constraints
     for j, w in enumerate(ws):
-        a = np.array([mats[j] for _, mats in prob.constraints])
+        a = np.array([mats[j] for _, mats in cons])
         waw = w @ a @ w
         want += np.real(np.einsum("ikl,jlk->ij", a, waw))
     err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
@@ -306,9 +315,25 @@ def test_schur_matches_dense_oracle(case):
 
 
 def test_schur_all_dense_rows_keep_their_stacks():
-    prob = _random_strictly_feasible(3)
-    comp = sdp._Compiled(prob, check_independence=False)
-    assert comp.units == [] and comp.stacks[0] is prob.stacks[0]
+    for prob, kinds in ((_random_strictly_feasible(3), [-1] * 4),
+                        _mixed_problem()):
+        comp = sdp._Compiled(prob, check_independence=False)
+        assert _row_kinds(comp) == kinds
+        cons = prob.constraints
+        dense = [i for i, kind in enumerate(kinds) if kind == -1]
+        for j in range(len(prob.blocks)):
+            want = np.array([cons[i][1][j] for i in dense])
+            assert comp.stacks[j].tobytes() == want.tobytes()
+
+
+def test_reduction_program_keeps_a_stack_of_its_dense_rows_only():
+    from sepball import cbnorm, maps
+
+    comp = sdp._Compiled(cbnorm._upper_problem(maps.reduction_map(6)),
+                         check_independence=False)
+    assert comp.p == 2664
+    assert [s.shape for s in comp.stacks] == [
+        (72, 72, 72), (72, 6, 6), (72, 6, 6), (72, 1, 1)]
 
 
 def _posdef(rng, d, eigenvalues=None):

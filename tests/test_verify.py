@@ -88,3 +88,12 @@ def test_sdp_solution_checks():
                                 constraints=((-1.0, (np.eye(2),)),))
     checks = verify.sdp_solution(infeasible, sdp.solve(infeasible))
     assert _names(checks) == ["certificate-emitted"]
+
+
+def test_psd_check_beyond_the_float_range():
+    # eigvalsh of the unscaled matrices returns +-inf
+    indefinite = verify._psd_check(
+        "x", np.array([[1e308, 1.5e308], [1.5e308, -1e308]]))
+    assert not indefinite.passed
+    psd = verify._psd_check("x", np.array([[1e308, 1e308], [1e308, 1e308]]))
+    assert psd.passed and np.isfinite(psd.margin)
