@@ -6,7 +6,6 @@ from .algebra import (
     BipartiteElement,
     FdAlgebra,
     assemble,
-    bipartite_identity,
     identity_minus,
 )
 from .cbnorm import (
@@ -22,7 +21,6 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     HermiticityError,
-    LinearityError,
     PositivityError,
     SchemaError,
     SepballError,
@@ -30,14 +28,9 @@ from .errors import (
 )
 from .maps import (
     LinearMapRep,
-    amplify,
-    apply_map,
     apply_to_second_leg,
-    choi_of_map,
     embedded_transpose,
-    hat_functional,
     identity_map,
-    is_completely_positive,
     reduction_map,
     transpose_map,
 )
@@ -46,7 +39,6 @@ from .separability import (
     ScanReport,
     SepVerdict,
     WitnessData,
-    dilation_embed,
     entanglement_witness,
     extremal_direction,
     extremal_entangled,
@@ -74,7 +66,6 @@ __all__ = [
     "HermiticityError",
     "KappaReport",
     "LinearMapRep",
-    "LinearityError",
     "MajorizingPair",
     "PositivityError",
     "RankFormulaReport",
@@ -89,27 +80,20 @@ __all__ = [
     "SizeCapError",
     "WitnessData",
     "amplification_norm",
-    "amplify",
-    "apply_map",
     "apply_to_second_leg",
     "assemble",
-    "bipartite_identity",
     "cb_norm",
     "cb_upper_sdp",
-    "choi_of_map",
     "closed_form",
-    "dilation_embed",
     "embedded_transpose",
     "entanglement_witness",
     "eta_certificate",
     "extremal_direction",
     "extremal_entangled",
     "gamma_certificate",
-    "hat_functional",
     "hermitian_basis",
     "identity_map",
     "identity_minus",
-    "is_completely_positive",
     "kappa_matrix_check",
     "ppt_check",
     "rank_formula_report",

@@ -42,11 +42,6 @@ class FdAlgebra:
     def rank(self) -> int:
         return max(self.blocks)
 
-    @property
-    def total_dim(self) -> int:
-        """Vector-space dimension sum_k n_k^2."""
-        return sum(b * b for b in self.blocks)
-
 
 @dataclass(frozen=True)
 class BipartiteElement:
@@ -88,17 +83,6 @@ class BipartiteElement:
     def part(self, k: int, l: int) -> np.ndarray:
         return self.parts[k * len(self.alg_b.blocks) + l]
 
-    def norm(self) -> float:
-        return max(matcore.operator_norm(p) for p in self.parts)
-
-    def is_hermitian(self, rtol: float = matcore.HERMITICITY_RTOL) -> bool:
-        try:
-            for p in self.parts:
-                matcore.check_hermitian(p, rtol=rtol)
-        except Exception:
-            return False
-        return True
-
     def hermitized(self) -> "BipartiteElement":
         """The Hermitian part (p + p*)/2 of every component."""
         return BipartiteElement(
@@ -129,15 +113,6 @@ def assemble(alg_a: FdAlgebra, alg_b: FdAlgebra, pieces) -> BipartiteElement:
                 parts.append(matcore.as_matrix(by_pair[(k, l)]))
             else:
                 parts.append(np.zeros((d, d), dtype=np.complex128))
-    return BipartiteElement(alg_a, alg_b, tuple(parts))
-
-
-def bipartite_identity(alg_a: FdAlgebra, alg_b: FdAlgebra) -> BipartiteElement:
-    parts = []
-    for k in range(len(alg_a.blocks)):
-        for l in range(len(alg_b.blocks)):
-            d = alg_a.blocks[k] * alg_b.blocks[l]
-            parts.append(np.eye(d, dtype=np.complex128))
     return BipartiteElement(alg_a, alg_b, tuple(parts))
 
 

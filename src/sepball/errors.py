@@ -21,10 +21,6 @@ class PositivityError(SepballError):
     """A matrix or element required to be positive semidefinite is not."""
 
 
-class LinearityError(SepballError):
-    """A callable expected to be linear fails the spot check."""
-
-
 class ConvergenceError(SepballError):
     """An iterative kernel hit its iteration limit without converging."""
 

@@ -32,15 +32,11 @@ def dumps(obj) -> str:
 
 
 def encode_matrix(m) -> list:
-    """Row-major nested [re, im] pairs.  tolist() yields the same Python
-    floats, -0.0 included, as float() of each part, with no Python call
-    per entry."""
+    """Row-major nested [re, im] pairs, for an array of any shape (witness
+    vectors too).  tolist() yields the same Python floats, -0.0 included,
+    as float() of each part, with no Python call per entry."""
     a = np.asarray(m, dtype=np.complex128)
     return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
-def encode_vector(v) -> list:
-    return encode_matrix(v)  # the stacking above keeps any shape
 
 
 def _fail(path: str, expected: str, got) -> SchemaError:
@@ -195,7 +191,7 @@ def encode_witness_data(w: separability.WitnessData) -> dict:
     return {
         "pair": list(w.pair),
         "map": encode_map(w.map),
-        "vector": encode_vector(w.vector),
+        "vector": encode_matrix(w.vector),
         "violation": float(w.violation),
         "witnessMatrix": encode_matrix(w.witness_matrix),
     }

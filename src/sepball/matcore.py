@@ -16,18 +16,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    HermiticityError,
-    SizeCapError,
-)
+from .errors import ConvergenceError, DimensionError, HermiticityError
 
 # Relative slack for the Hermitian symmetry check.
 HERMITICITY_RTOL = 1e-12
-
-# Largest product dimension kron() will materialize by default.
-KRON_CAP = 4096
 
 
 def as_matrix(m) -> np.ndarray:
@@ -113,17 +105,9 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def kron(a, b, cap: int = KRON_CAP) -> np.ndarray:
+def kron(a, b) -> np.ndarray:
     """Kronecker product with the row index ``i * b.rows + r``."""
-    x = as_matrix(a)
-    y = as_matrix(b)
-    rows = x.shape[0] * y.shape[0]
-    cols = x.shape[1] * y.shape[1]
-    if rows > cap or cols > cap:
-        raise SizeCapError(
-            f"kron result would be {rows}x{cols}, beyond the cap of {cap}"
-        )
-    return np.kron(x, y)
+    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def _split_shape(x: np.ndarray, dims) -> tuple[int, int]:

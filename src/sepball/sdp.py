@@ -48,6 +48,8 @@ from . import matcore
 from .errors import ConvergenceError, DimensionError
 
 # Fixed algorithm constants (read-only; not part of SdpOptions).
+MAX_ITER = 200
+FEAS_TOL = 1e-9  # relative primal and dual residuals of an optimal iterate
 STEP_FRACTION = 0.98
 DIVERGENCE_SCALE = 1e8
 LOOSE_MERIT = 1e-7  # accept early-terminated iterates up to this KKT merit
@@ -58,7 +60,7 @@ CHUNK_ENTRIES = 1 << 15
 
 @dataclass(frozen=True)
 class SdpOptions:
-    """Iteration limit, tolerances and the dependent-row check.
+    """Duality-gap tolerance and the dependent-row check.
 
     ``check_independence`` drops linearly dependent rows before the
     solve (``_independent_rows``).  ``sdp-solve`` keeps it on, because
@@ -66,8 +68,6 @@ class SdpOptions:
     because its rows are independent by construction.
     """
 
-    max_iter: int = 200
-    feas_tol: float = 1e-9
     gap_tol: float = 1e-9
     check_independence: bool = True
 
@@ -435,7 +435,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
     it = 0
     stall = 0
 
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         rp = comp.b - comp.apply(xs)
         aty = comp.adjoint(y)
         rd = [c - z - a for c, z, a in zip(comp.C, zs, aty)]
@@ -465,7 +465,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
         else:
             stall += 1
 
-        if (pres <= opts.feas_tol and dres <= opts.feas_tol
+        if (pres <= FEAS_TOL and dres <= FEAS_TOL
                 and rel_gap <= opts.gap_tol and cgap <= opts.gap_tol):
             status = "optimal"
             break

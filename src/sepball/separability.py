@@ -18,6 +18,10 @@ certificate checkable by eigendecomposition alone.  A nonnegative
 optimum certifies separability only where the partial-transpose test is
 decisive, i.e. pairs of sizes 2x2 and 2x3 (and trivially when either
 block is one-dimensional); everything else stays undecided.
+
+The module also builds the extremal entangled elements just past the
+radius 1/min(rank) and scans random and directed elements at given radii
+(``sep_ball_scan``).
 """
 
 from __future__ import annotations
@@ -197,38 +201,6 @@ def entanglement_witness(x: algebra.BipartiteElement,
     margin = min(r.ppt_margin for r in reports)
     return SepVerdict(status="undecided", margin=margin,
                       pair_reports=tuple(reports))
-
-
-def dilation_embed(x: algebra.BipartiteElement, r: float) -> algebra.BipartiteElement:
-    """Embed a contraction into a positive corner element.
-
-    For x on A (x) M_k with ||x|| <= 1 and 0 <= r <= 1 this returns
-
-        y = [[1 (x) 1, r x], [r x*, 1 (x) 1]]  on  A (x) M_2k,
-
-    whose distance from the identity is exactly r ||x||: the off-diagonal
-    block matrix [[0, x], [x*, 0]] has the same norm as x.
-    """
-    if not (0.0 <= r <= 1.0):
-        raise DimensionError(f"the contraction scale must be in [0, 1], got {r}")
-    if len(x.alg_b.blocks) != 1:
-        raise DimensionError("dilation needs a single-block second algebra")
-    if x.norm() > 1.0 + 1e-12:
-        raise DimensionError(f"element norm {x.norm():.6f} exceeds 1")
-    k = x.alg_b.blocks[0]
-    parts = []
-    for (kk, _) in x.pairs():
-        n = x.alg_a.blocks[kk]
-        p4 = x.part(kk, 0).reshape(n, k, n, k)
-        y6 = np.zeros((n, 2, k, n, 2, k), dtype=np.complex128)
-        ident = np.einsum("ij,cd->icjd", np.eye(n), np.eye(k))
-        y6[:, 0, :, :, 0, :] = ident
-        y6[:, 1, :, :, 1, :] = ident
-        y6[:, 0, :, :, 1, :] = r * p4
-        y6[:, 1, :, :, 0, :] = r * np.transpose(p4.conj(), (2, 3, 0, 1))
-        parts.append(y6.reshape(n * 2 * k, n * 2 * k))
-    return algebra.BipartiteElement(
-        x.alg_a, algebra.FdAlgebra((2 * k,)), tuple(parts))
 
 
 def extremal_entangled(n: int, eps: float = 0.05) -> algebra.BipartiteElement:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sepball import cbnorm, maps, matcore, sampling, sdp, verify
 from sepball.errors import DimensionError
 
@@ -29,9 +30,9 @@ def test_cp_upper_equals_unit_image_norm():
     rng = sampling.rng_from(0xCB7E, 0)
     for seed in range(5):
         rng = sampling.rng_from(0xCB7E, seed)
-        f = maps.LinearMapRep(3, 2, sampling.random_kraus_choi(rng, 3, 2))
+        f = maps.LinearMapRep(3, 2, oracles.random_kraus_choi(rng, 3, 2))
         upper, pair, _ = cbnorm.cb_upper_sdp(f)
-        unit = maps.apply_map(f, np.eye(3))
+        unit = maps.apply_to_second_leg(f, np.eye(3), 1)
         assert abs(upper - matcore.operator_norm(unit)) < 1e-6
         assert pair.psd_margin() >= -1e-7
         assert abs(pair.bound() - upper) < 1e-5
@@ -52,7 +53,7 @@ def test_majorizing_pair_certifies_upper():
 def test_upper_bounded_by_dimension_times_norm(seed):
     rng = sampling.rng_from(0xCB7E, seed, 1)
     n, m = 3, 2
-    c = sampling.random_hermitian_choi(rng, n, m)
+    c = oracles.random_hermitian_choi(rng, n, m)
     f = maps.LinearMapRep(n, m, c)
     upper, _, _ = cbnorm.cb_upper_sdp(f)
     base, _ = cbnorm.amplification_norm(f, 1)
@@ -72,8 +73,8 @@ def test_amplification_witness_is_contraction():
     f = maps.transpose_map(3)
     value, x = cbnorm.amplification_norm(f, 3)
     assert matcore.operator_norm(x) <= 1.0 + 1e-10
-    amp = maps.amplify(f, 3)
-    attained = matcore.operator_norm(maps.apply_map(amp, x))
+    amp = oracles.amplify(f, 3)
+    attained = matcore.operator_norm(maps.apply_to_second_leg(amp, x, 1))
     assert abs(attained - value) < 1e-9
 
 
@@ -130,7 +131,7 @@ def criterion_03_map(i):
     """Criterion 03's CP map #i (``test_criterion_03_cp_consistency``)."""
     n, m = ((2, 2), (3, 2), (2, 3), (3, 3))[i % 4]
     rng = sampling.rng_from(0xAC3, i)
-    return maps.LinearMapRep(n, m, sampling.random_kraus_choi(rng, n, m))
+    return maps.LinearMapRep(n, m, oracles.random_kraus_choi(rng, n, m))
 
 
 def cp_map_45():
@@ -141,7 +142,7 @@ def cp_map_45():
 
 def _general(n, m):
     rng = sampling.rng_from(0xD0A1, n, m)
-    return maps.LinearMapRep(n, m, sampling.random_complex_choi(rng, n, m))
+    return maps.LinearMapRep(n, m, oracles.random_complex_choi(rng, n, m))
 
 
 DUAL_CASES = {
@@ -179,7 +180,8 @@ def test_sdp_matches_unit_image_norm_on_criterion_03_maps():
     for i in range(8):
         f = criterion_03_map(i)
         upper, _, _ = cbnorm.cb_upper_sdp(f)
-        unit = matcore.operator_norm(maps.apply_map(f, np.eye(f.dim_in)))
+        unit = matcore.operator_norm(
+            maps.apply_to_second_leg(f, np.eye(f.dim_in), 1))
         assert abs(upper - unit) <= 1e-6 * unit
 
 
@@ -196,7 +198,8 @@ def test_cb_norm_solves_only_where_the_closed_form_is_open(monkeypatch):
     closed += [(maps.identity_map(n), 1) for n in (2, 5)]
     closed += [(maps.embedded_transpose(d, n, m), d)
                for d, n, m in ((2, 3, 4), (3, 4, 3), (5, 5, 5))]
-    closed += [(f, matcore.operator_norm(maps.apply_map(f, np.eye(f.dim_in))))
+    closed += [(f, matcore.operator_norm(
+                   maps.apply_to_second_leg(f, np.eye(f.dim_in), 1)))
                for f in map(criterion_03_map, range(100))]
     for f, exact in closed:
         res = cbnorm.cb_norm(f)
@@ -238,7 +241,7 @@ def test_certified_pair_is_psd_where_the_iterate_is_not():
     scale = matcore.operator_norm(pair.block_matrix())
     assert pair.psd_margin() >= -1e-14 * scale
     assert upper == pair.bound()
-    unit = maps.apply_map(pair.target, np.eye(3))
+    unit = maps.apply_to_second_leg(pair.target, np.eye(3), 1)
     assert abs(upper - matcore.operator_norm(unit)) <= 1e-7
 
 

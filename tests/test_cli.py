@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from sepball import (
     cli, jsonio, maps, sampling, sdp, separability, theorems, verify,
 )
@@ -39,7 +40,7 @@ def test_cbnorm_verify_and_strict(capsys):
 def test_cbnorm_verify_cp_map_45(tmp_path, capsys):
     # the map whose raw SDP upper bound fell 2.8e-9 below the exact lower
     rng = sampling.rng_from(0xAC3, 45)
-    f = maps.LinearMapRep(3, 2, sampling.random_kraus_choi(rng, 3, 2))
+    f = maps.LinearMapRep(3, 2, oracles.random_kraus_choi(rng, 3, 2))
     path = tmp_path / "cp45.json"
     path.write_text(jsonio.dumps(jsonio.encode_map(f)))
     code, out, _ = _run(capsys, "cbnorm", "--map", f"file:{path}", "--verify")

@@ -5,12 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepball import matcore
-from sepball.errors import (
-    ConvergenceError,
-    DimensionError,
-    HermiticityError,
-    SizeCapError,
-)
+from sepball.errors import ConvergenceError, DimensionError, HermiticityError
 
 
 def _rng(seed):
@@ -90,11 +85,6 @@ def test_kron_product_oracle():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     b = np.array([[0, 1], [1, 0]], dtype=complex)
     nptest.assert_allclose(matcore.kron(a, b), np.kron(a, b))
-
-
-def test_kron_cap():
-    with pytest.raises(SizeCapError):
-        matcore.kron(np.eye(100), np.eye(100))
 
 
 def test_swap_oracle_d2():

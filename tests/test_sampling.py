@@ -3,6 +3,7 @@ import numpy.testing as nptest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from sepball import matcore, sampling
 
 
@@ -22,7 +23,7 @@ def test_gue_hermitian(seed):
 
 @given(st.integers(0, 100))
 def test_random_unitary(seed):
-    u = sampling.random_unitary(sampling.rng_from(seed), 4)
+    u = oracles.random_unitary(sampling.rng_from(seed), 4)
     nptest.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
 
@@ -34,7 +35,7 @@ def test_random_contraction_norm_one(seed):
 
 @given(st.integers(0, 50))
 def test_kraus_choi_is_psd(seed):
-    c = sampling.random_kraus_choi(sampling.rng_from(seed), 3, 2)
+    c = oracles.random_kraus_choi(sampling.rng_from(seed), 3, 2)
     nptest.assert_allclose(c, c.conj().T, atol=1e-12)
     assert matcore.min_eigenvalue(c) >= -1e-10
 
@@ -42,7 +43,7 @@ def test_kraus_choi_is_psd(seed):
 @given(st.integers(0, 50))
 def test_unital_channel_choi_unital(seed):
     d = 3
-    c = sampling.random_unital_channel_choi(sampling.rng_from(seed), d)
+    c = oracles.random_unital_channel_choi(sampling.rng_from(seed), d)
     assert matcore.min_eigenvalue(c) >= -1e-10
     # unital: Tr over the domain leg gives the identity on the output leg
     nptest.assert_allclose(
@@ -50,6 +51,6 @@ def test_unital_channel_choi_unital(seed):
 
 
 def test_hermitian_choi():
-    c = sampling.random_hermitian_choi(sampling.rng_from(3), 2, 3)
+    c = oracles.random_hermitian_choi(sampling.rng_from(3), 2, 3)
     assert c.shape == (6, 6)
     nptest.assert_allclose(c, c.conj().T)

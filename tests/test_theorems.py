@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sepball import algebra, cbnorm, matcore, sdp, separability, theorems, verify
-from sepball.errors import DimensionError
+from sepball import algebra, cbnorm, sdp, separability, theorems, verify
+from sepball.errors import DimensionError, SizeCapError
 
 
 M2 = algebra.FdAlgebra((2,))
@@ -59,7 +59,7 @@ def test_kappa_matrix_check():
 
 
 def test_kappa_cap():
-    with pytest.raises(matcore.SizeCapError):
+    with pytest.raises(SizeCapError):
         theorems.kappa_matrix_check(13, 13)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 
+import oracles
 from sepball import algebra, cbnorm, maps, sdp, separability, theorems, verify
 
 M2 = algebra.FdAlgebra((2,))
@@ -37,7 +38,7 @@ def test_verdict_checks_per_status():
     assert all(c.passed for c in checks)
 
     M3 = algebra.FdAlgebra((3,))
-    und = algebra.bipartite_identity(M3, M3)
+    und = oracles.bipartite_identity(M3, M3)
     v = separability.entanglement_witness(und)
     assert v.status == "undecided"
     assert _names(verify.verdict(und, v)) == ["undecided-nothing-to-verify"]
