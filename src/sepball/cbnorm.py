@@ -7,23 +7,28 @@ phi_1, phi_2 with unit images of norm at most t such that
      [ Choi(psi)*,  Choi(phi_2)]]  >=  0.
 
 Any such pair certifies ||psi||_cb <= sqrt(||phi_1|| ||phi_2||) <= t, and
-the optimal t never exceeds min(dim_in, dim_out) * ||psi||.  The reported
-upper bound is that pair bound, after the solver's pair is shifted just
-enough to make its block matrix positive semidefinite.
+the optimal t never exceeds min(dim_in, dim_out) * ||psi||.  The program
+has two blocks: Y = [[Y_11, Choi(psi)], [Choi(psi)*, Y_22]] >= 0 and t,
+with Tr_1 Y_jj = t 1.  (Asking only Tr_1 Y_jj <= t 1 gives the same
+optimum: adding 1/n (x) rho_j to Y_jj closes the gap rho_j.)  The
+reported upper bound is the pair bound of phi_j = Y_jj, after the
+solver's pair is shifted just enough to make its block matrix positive
+semidefinite.
 
 Lower bound: the norm of Id_k (x) psi on an explicit contraction.  By
 default the contraction is read off the dual slack of the same program,
 
-    Z = [[ 1_n (x) rho_1, X ], [ X*, 1_n (x) rho_2 ]]  >=  0
+    Z = [[ 1_n (x) rho_1, X ], [ X*, 1_n (x) rho_2 ]]  >=  0,
 
-(the rho_0/rho_1 form of Watrous, "Simpler semidefinite programs for
-completely bounded norms", CJTCS 2013): the contraction
-(1 (x) rho_1)^{-1/2} X (1 (x) rho_2)^{-1/2}, reshuffled, attains the cb
-norm at level k = dim_out, so the sandwich closes to solver accuracy
-with no search.  An explicit ``level`` instead runs the seeded
-alternating search of ``amplification_norm`` over levels 1..k.  Either
-way the lower bound is recomputed from the contraction itself, so it is
-rigorous at any solver accuracy.
+where rho_j is minus the combination of the Hermitian basis that the
+dual weights of the rows Tr_1 Y_jj = t 1 make (the rho_0/rho_1 form of
+Watrous, "Simpler semidefinite programs for completely bounded norms",
+CJTCS 2013): the contraction Z_11^{-1/2} X Z_22^{-1/2}, reshuffled,
+attains the cb norm at level k = dim_out, so the sandwich closes to
+solver accuracy with no search.  An explicit ``level`` instead runs the
+seeded alternating search of ``amplification_norm`` over levels 1..k.
+Either way the lower bound is recomputed from the contraction itself, so
+it is rigorous at any solver accuracy.
 
 Many maps need no program: ``closed_form`` pairs the polar parts of
 the Choi matrix with two fixed contractions, and ``cb_norm`` solves the
@@ -92,16 +97,16 @@ class CbNormResult:
 def _upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
     """The majorizing-pair program for psi, its rows written as entries.
 
-    Blocks are Y, rho_1, rho_2 and t.  Rows 2k and 2k + 1 (k = u q + w)
-    fix the real and imaginary parts of entry (u, w) of Y's off-diagonal
-    block to those of Choi(psi).  The last 2 m^2 rows set
-    <1_n (x) h, Y_jj> + <h, rho_j> = Tr(h) t for h in
-    ``sdp.hermitian_basis(m)``, that is Tr_1 Y_jj + rho_j = t 1.
+    Blocks are Y = [[Y_11, B], [B*, Y_22]] and t.  Rows 2k and 2k + 1
+    (k = u q + w) fix the real and imaginary parts of entry (u, w) of Y's
+    off-diagonal block to those of B = Choi(psi).  The last 2 m^2 rows
+    set <1_n (x) h, Y_jj> = Tr(h) t for h in ``sdp.hermitian_basis(m)``,
+    that is Tr_1 Y_jj = t 1.
     """
     n, m = psi.dim_in, psi.dim_out
     q = n * m
     big = 2 * q
-    blocks = (big, m, m, 1)
+    blocks = (big, 1)
     p_pair = 2 * q * q
     entries = [[] for _ in blocks]  # (row, flat index, value) per block
 
@@ -120,9 +125,8 @@ def _upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
         for i in range(n):
             off = j * q + i * m
             entries[0].append((row, (off + a) * big + off + c, v))
-        entries[1 + j].append((row, a * m + c, v))
         diag = p_pair + j * m * m + np.arange(m)
-        entries[3].append((diag, 0 * diag, np.full(m, -1 + 0j)))
+        entries[1].append((diag, 0 * diag, np.full(m, -1 + 0j)))
 
     p = p_pair + 2 * m * m
     rows = []
@@ -132,7 +136,7 @@ def _upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
                                             shape=(p, d * d)))
     rhs = np.zeros(p)
     rhs[:p_pair] = 2.0 * psi.choi.ravel().view(np.float64)  # re, im, ...
-    objective = [np.zeros((d, d)) for d in blocks[:3]] + [np.ones((1, 1))]
+    objective = [np.zeros((big, big)), np.ones((1, 1))]
     return sdp.SdpProblem.from_rows(blocks, objective, rhs, rows)
 
 
@@ -170,8 +174,8 @@ def _pinv_sqrt(rho: np.ndarray) -> np.ndarray:
 def _dual_witness(psi: maps.LinearMapRep, sol: sdp.SdpSolution) -> np.ndarray:
     """Contraction on C^{dim_out} (x) C^{dim_in} read off the dual slack.
 
-    The slack's first block is Z = [[1 (x) rho_1, X], [X*, 1 (x) rho_2]]
-    >= 0, so K = (1 (x) rho_1)^{-1/2} X (1 (x) rho_2)^{-1/2}, with
+    The slack's first block is Z = [[Z_11, X], [X*, Z_22]] >= 0, with
+    Z_jj = 1 (x) rho_j, so K = Z_11^{-1/2} X Z_22^{-1/2}, with
     pseudo-inverse square roots, is a contraction; its singular values
     are clipped to 1 against round-off.
     K does not change when the rho_j are scaled to trace one and X by
@@ -180,10 +184,8 @@ def _dual_witness(psi: maps.LinearMapRep, sol: sdp.SdpSolution) -> np.ndarray:
     """
     n, m = psi.dim_in, psi.dim_out
     q = n * m
-    z, rho1, rho2 = sol.dual_slack[:3]
-    eye = np.eye(n)
-    k = (matcore.kron(eye, _pinv_sqrt(rho1)) @ z[:q, q:]
-         @ matcore.kron(eye, _pinv_sqrt(rho2)))
+    z = sol.dual_slack[0]
+    k = _pinv_sqrt(z[:q, :q]) @ z[:q, q:] @ _pinv_sqrt(z[q:, q:])
     u, s, vh = np.linalg.svd(k)
     k = (u * np.minimum(s, 1.0)) @ vh
     return np.conj(k.reshape(n, m, n, m).transpose(1, 0, 3, 2)).reshape(q, q)

@@ -351,6 +351,7 @@ def encode_sdp_solution(sol: sdp.SdpSolution) -> dict:
         "primalResidual": _finite_or_none(sol.primal_residual),
         "dualResidual": _finite_or_none(sol.dual_residual),
         "iterations": int(sol.iterations),
+        "bestIteration": int(sol.best_iteration),
         "message": sol.message,
         "primal": [encode_matrix(x) for x in sol.primal],
         "dualY": [] if sol.dual_y is None else [float(v) for v in sol.dual_y],

@@ -13,15 +13,19 @@ through a doubled real embedding.
 
 Constraint rows are stored once, as one CSR matrix per block, and come
 in two kinds, sorted once per solve.  An entrywise row sits in one block
-as v E_ab + conj(v) E_ba (a != b) or v E_aa (v real).  Between two
-entrywise rows of one block the Schur entry Tr(A_i W A_j W) is a product
-of four entries of W (the structured Schur formulas of Fujisawa, Kojima
-and Nakata, Math. Prog. 79, 1997), so that square of the Schur matrix
-costs O(1) per entry and needs no stacks; it is zero across blocks.
-Every other row is dense: it is expanded to its (d, d) matrices, pays
-O(d^3) per block for W A_j W, and fills its row and column of the Schur
-matrix with one sparse product.  A problem without entrywise rows runs
-exactly the dense arithmetic.
+as r (E_ab + E_ba) or s (i E_ab - i E_ba) (a < b, r and s real) or as
+v E_aa (v real): the real or the imaginary slot of the cell (a, b).
+Between two cells of one block the four Schur entries Tr(A_i W A_j W)
+of their slots are real and imaginary parts of P +- Q, where P and Q are
+products of two entries of W (the structured Schur formulas of
+Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), so that square of
+the Schur matrix costs O(1) per entry and needs no stacks; it is zero
+across blocks.  Every other row is dense: it is expanded to its (d, d)
+matrices, pays O(d^3) per block for W A_j W, and meets the other dense
+rows in one sparse product.  The Schur matrix, its Cholesky factor and
+the kernel's workspace are allocated once per solve and refilled in
+place in every iteration.  A problem without entrywise rows runs exactly
+the dense arithmetic.
 
 The search direction is the Nesterov-Todd one with a Mehrotra
 predictor-corrector, formed in the scaled frame of Todd, Toh and
@@ -53,9 +57,10 @@ FEAS_TOL = 1e-9  # relative primal and dual residuals of an optimal iterate
 STEP_FRACTION = 0.98
 DIVERGENCE_SCALE = 1e8
 LOOSE_MERIT = 1e-7  # accept early-terminated iterates up to this KKT merit
-# Entries per chunk of ``_unit_schur``'s elementwise pass over the Schur
-# matrix: whole-array temporaries of a few MB ran 2-3x slower.
-CHUNK_ENTRIES = 1 << 15
+# Cell pairs per chunk of ``_cell_schur``: its workspace is three complex
+# arrays of this many entries (more only where a block has more cells),
+# allocated once per solve and small enough to stay in cache.
+CHUNK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,8 @@ class SdpSolution:
     rel_gap: float = float("nan")
     primal_residual: float = float("nan")
     dual_residual: float = float("nan")
-    iterations: int = 0
+    iterations: int = 0  # interior-point iterations run
+    best_iteration: int = 0  # the iteration whose iterate is returned, or 0
     message: str = ""
     ray: object = field(repr=False, default=None)
 
@@ -189,11 +195,14 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
 
 
 class _Compiled:
-    """Constraint data: the problem's CSR rows, entrywise units and one
-    dense stack.
+    """Constraint data in the solver's row order, and the Schur buffers.
 
-    Rows are sorted once into entrywise rows (see ``_entrywise_units``)
-    and dense rows; only the dense rows get a (p_dense, d, d) stack.
+    Rows are sorted once (see ``_entrywise_cells`` and ``_Cells``): per
+    block the slots of its cells, then the dense rows in problem order;
+    ``keep[i]`` is the problem row of row i.  Only the dense rows get a
+    (p_dense, d, d) stack.  The p x p Schur and factor buffers and the
+    kernel's workspace are allocated here, once per solve, and refilled
+    in every iteration.
     """
 
     def __init__(self, problem: SdpProblem, check_independence: bool):
@@ -220,29 +229,36 @@ class _Compiled:
                     "others but its right-hand side disagrees"
                 )
 
-        self.keep = keep
-        self.b = b[keep]
-        self.p = len(keep)
-        self.csr = list(rows)
+        self.cells = {}  # block: its _Cells
+        self.p_cells = 0
+        for j, found in enumerate(_entrywise_cells(rows, self.blocks)):
+            if len(found[0]):
+                self.cells[j] = _Cells(self.p_cells, self.blocks[j], *found)
+                self.p_cells += len(found[0])
+        order = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+            c.rows for c in self.cells.values()])
+        dense = np.ones(len(keep), dtype=bool)
+        dense[order] = False
+        order = np.concatenate([order, np.flatnonzero(dense)])
+        self.keep = keep[order]
+        self.b = b[self.keep]
+        self.p = len(self.keep)
+        self.csr = [r[order] for r in rows]
         self.csr_conj = [a.conj().tocsr() for a in self.csr]
         self.csr_t = [a.T.tocsr() for a in self.csr]
-        self.units = []  # (block, square of M its rows span, a, b, v)
-        entrywise = np.zeros(self.p, dtype=bool)
-        for j, (rows, a, b, v) in enumerate(
-                _entrywise_units(self.csr, self.blocks)):
-            if len(rows) == 0:
-                continue
-            entrywise[rows] = True
-            if rows[-1] - rows[0] + 1 == len(rows):
-                square = (slice(rows[0], rows[-1] + 1),) * 2
-            else:
-                square = np.ix_(rows, rows)
-            self.units.append((j, square, a, b, v))
-        self.dense = np.flatnonzero(~entrywise)
-        self.stacks = [r[self.dense].toarray().reshape(-1, d, d)
+        self.dense_conj = [a[self.p_cells:] for a in self.csr_conj]
+        self.stacks = [r[self.p_cells:].toarray().reshape(-1, d, d)
                        for r, d in zip(self.csr, self.blocks)]
+        self.scale = np.ones(self.p)  # r or s of the cell rows, 1 for dense
+        for c in self.cells.values():
+            self.scale[c.start:c.start + len(c.rows)] = c.scale
         self.norm_b = float(np.linalg.norm(self.b))
         self.norm_c = float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in self.C)))
+
+        self.m = np.zeros((self.p, self.p))
+        self.factor_buf = np.empty((self.p, self.p))
+        chunk = max((c.step * c.n for c in self.cells.values()), default=0)
+        self.work = [np.empty(chunk, dtype=np.complex128) for _ in range(3)]
 
     def apply(self, xs) -> np.ndarray:
         """A(X): the vector of constraint values."""
@@ -256,89 +272,182 @@ class _Compiled:
         return [(a @ y).reshape(d, d) for a, d in zip(self.csr_t, self.blocks)]
 
     def schur(self, ws) -> np.ndarray:
-        """M_ij = sum_blocks Tr(A_i W A_j W) for the NT scaling W.
+        """M_ij = sum_blocks Tr(A_i W A_j W) / (scale_i scale_j) for the NT
+        scaling W, written into the Schur buffer, which is returned.
 
-        The columns of dense rows j come from W A_j W; the block of
-        entrywise rows comes from entries of W (``_unit_schur``).
+        The division makes every cell slot a unit one, so the kernels
+        need no coefficients; ``_solve_factored`` scales back.  Each
+        block's square of cell rows comes from entries of W
+        (``_cell_schur``), and its cell rows meet the dense rows j in
+        entries of W A_j W (``_dense_cross``); cell rows of two blocks
+        meet in zeros, which are never overwritten.  Only the square of
+        dense rows is averaged with its transpose.
         """
-        pd = len(self.dense)
-        m = np.zeros((self.p, pd), dtype=np.complex128)
-        for a_conj, stack, w in zip(self.csr_conj, self.stacks, ws):
-            waw = np.matmul(np.matmul(w, stack), w)
-            m += a_conj @ waw.reshape(pd, w.size).T
-        m = m.real
-        if pd < self.p:
-            full = np.zeros((self.p, self.p))
-            full[:, self.dense] = m
-            full[self.dense] = m.T
-            for j, square, a, b, v in self.units:
-                full[square] = _unit_schur(ws[j], a, b, v)
-            m = full
-        return (m + m.T) / 2.0
+        m, pc = self.m, self.p_cells
+        if pc < self.p:
+            square = 0.0
+            for j, (a_conj, stack, w) in enumerate(
+                    zip(self.dense_conj, self.stacks, ws)):
+                waw = np.matmul(np.matmul(w, stack), w).reshape(len(stack), -1)
+                square = square + a_conj @ waw.T
+                if j in self.cells:
+                    _dense_cross(m, waw, self.cells[j], pc)
+            square = square.real
+            m[pc:, pc:] = (square + square.T) / 2.0
+        for j, cells in self.cells.items():
+            _cell_schur(m, ws[j], cells, self.work)
+        return m
 
 
-def _entrywise_units(csr, blocks):
-    """Per block, the rows that are one Hermitian matrix unit there.
+def _entrywise_cells(csr, blocks):
+    """Per block, the rows that fill one slot of one cell there.
 
-    A row is entrywise in block j when block j holds all its nonzeros,
-    either v E_ab + conj(v) E_ba with a != b or v E_aa with v real.  Two
-    diagonal units (such as the identity of size 2) make a dense row.
-    Returns per block (rows, a, b, v), with v halved for diagonal units,
-    so that every row reads A = v E_ab + conj(v) E_ba.
+    A row is entrywise in block j when block j holds all its nonzeros and
+    they read r (E_ab + E_ba) or s (i E_ab - i E_ba) with a < b and r, s
+    real and nonzero, the real and the imaginary slot of cell (a, b), or
+    v E_aa with v real and nonzero, the real slot of cell (a, a) with
+    r = v / 2.  A slot takes its first such row; a second row for a
+    filled slot, a row v E_ab + conj(v) E_ba whose v is neither real nor
+    imaginary, and every other row are dense.  Two diagonal units (such
+    as the identity of size 2) make a dense row.  Returns per block
+    (rows, cell, slot, coef): the rows in increasing order, their cells
+    a d + b, their slots (0 real, 1 imaginary) and their r or s.
     """
     nnz = np.array([np.diff(a.indptr) for a in csr])
     alone = np.count_nonzero(nnz, axis=0) == 1
-    units = []
+    found = []
     for a, d, n in zip(csr, blocks, nnz):
         one = np.flatnonzero(alone & (n == 1))
         at = a.indptr[one]
         r, c = np.divmod(a.indices[at], d)
         v = a.data[at]
-        ok = (r == c) & (v.imag == 0)
-        one, r, v = one[ok], r[ok], v[ok] / 2.0
+        ok = (r == c) & (v.imag == 0) & (v.real != 0)
+        one, cell1, coef1 = one[ok], a.indices[at][ok], v.real[ok] / 2.0
 
         two = np.flatnonzero(alone & (n == 2))
         at = a.indptr[two]
-        r0, c0 = np.divmod(a.indices[at], d)
-        r1, c1 = np.divmod(a.indices[at + 1], d)
-        v0 = a.data[at]
-        ok = (r0 == c1) & (c0 == r1) & (r0 != c0) & (a.data[at + 1] == v0.conj())
-        rows = np.concatenate([one, two[ok]])
+        i0, i1 = a.indices[at], a.indices[at + 1]
+        r0, c0 = np.divmod(i0, d)
+        r1, c1 = np.divmod(i1, d)
+        v0, v1 = a.data[at], a.data[at + 1]
+        upper = r0 < c0
+        v = np.where(upper, v0, v1)  # the entry (a, b) with a < b
+        real = (v.imag == 0) & (v.real != 0)
+        imag = (v.real == 0) & (v.imag != 0)
+        ok = ((r0 == c1) & (c0 == r1) & (r0 != c0) & (v1 == v0.conj())
+              & (real | imag))
+        two, cell2 = two[ok], np.where(upper, i0, i1)[ok]
+        slot2 = imag[ok].astype(np.intp)
+        coef2 = np.where(real, v.real, v.imag)[ok]
+
+        rows = np.concatenate([one, two])
+        cell = np.concatenate([cell1, cell2])
+        slot = np.concatenate([np.zeros(len(one), dtype=np.intp), slot2])
+        coef = np.concatenate([coef1, coef2])
         order = np.argsort(rows)
-        units.append((
-            rows[order],
-            np.concatenate([r, r0[ok]])[order],
-            np.concatenate([r, c0[ok]])[order],
-            np.concatenate([v, v0[ok]])[order],
-        ))
-    return units
+        _, first = np.unique((2 * cell + slot)[order], return_index=True)
+        pick = order[np.sort(first)]
+        found.append((rows[pick], cell[pick], slot[pick], coef[pick]))
+    return found
 
 
-def _unit_schur(w, a, b, v) -> np.ndarray:
-    """Tr(A_i W A_j W) for A_i = v_i E_{a_i b_i} + conj(v_i) E_{b_i a_i}.
+class _Cells:
+    """The entrywise rows of one block, grouped into cells (a, b), a <= b.
 
-    For Hermitian W this is 2 Re(v_i v_j W[b_i,a_j] conj(W[a_i,b_j])
-    + v_i conj(v_j) W[b_i,b_j] conj(W[a_i,a_j])): four gathers of W and
-    elementwise products, formed a chunk of rows at a time so that the
-    temporaries stay small.
+    Cells with only a real slot come first, then cells with both slots,
+    then cells with only an imaginary slot, each group in entry order;
+    so cells [0, n_re) have a real slot and cells [n_re_only, n) an
+    imaginary one.  The block's rows in the solver's order start at
+    ``start``: the real slots in cell order, then the imaginary ones;
+    ``rows`` gives their problem rows and ``scale`` their r or s.
+    ``cols`` holds 2 W[:, a], 2 W[:, b], conj(W[:, a]) and conj(W[:, b]),
+    and a chunk of ``step`` cells is formed at a time.
     """
-    n = len(a)
-    wb = w[b] * v[:, None]
-    wa = w[a].conj()
-    vc = v.conj()
-    out = np.empty((n, n))
-    step = max(1, CHUNK_ENTRIES // n)
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        t = wb[rows][:, a]
-        t *= wa[rows][:, b]
-        t *= v
-        u = wb[rows][:, b]
-        u *= wa[rows][:, a]
-        u *= vc
-        t += u
-        np.multiply(t.real, 2.0, out=out[rows])
-    return out
+
+    def __init__(self, start, d, rows, cell, slot, coef):
+        cells, inv = np.unique(cell, return_inverse=True)
+        has = np.zeros((len(cells), 2), dtype=bool)
+        has[inv, slot] = True
+        group = np.where(has[:, 0], np.where(has[:, 1], 1, 0), 2)
+        order = np.lexsort((cells, group))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.start, self.n = start, len(cells)
+        self.a, self.b = np.divmod(cells[order], d)
+        self.ab, self.ba = cells[order], self.b * d + self.a  # flat indices
+        self.n_re_only = int(np.count_nonzero(group == 0))
+        self.n_re = int(np.count_nonzero(has[:, 0]))
+        at = np.zeros((self.n, 2), dtype=np.intp)
+        at[rank[inv], slot] = rows
+        c = np.zeros((self.n, 2))
+        c[rank[inv], slot] = coef
+        self.rows = np.concatenate([at[:self.n_re, 0], at[self.n_re_only:, 1]])
+        self.scale = np.concatenate([c[:self.n_re, 0], c[self.n_re_only:, 1]])
+        self.step = min(self.n, max(1, CHUNK_ENTRIES // self.n))
+        self.cols = np.empty((4, d, self.n), dtype=np.complex128)
+
+
+def _cell_schur(out, w, c, work) -> None:
+    """Write the square of the Schur matrix between c's rows from W, for
+    the rows scaled to unit slots (see ``_Compiled.schur``).
+
+    For cells (a, b) and (a', b') let P = W[b, a'] W[b', a] and
+    Q = W[b, b'] conj(W[a, a']).  The real slot E_ab + E_ba and the
+    imaginary slot i E_ab - i E_ba meet in
+        real, real:  2 Re(P + Q)
+        real, imag: -2 Im(P - Q)
+        imag, imag: -2 Re(P - Q)
+    and (imag, real) is the transpose of (real, imag).  P is symmetric
+    and Q Hermitian, and their computed real parts are so bitwise, so the
+    square comes out bitwise symmetric.  2P and 2Q are formed a chunk of
+    cells at a time in ``work``, from row gathers of ``c.cols``.
+    """
+    n, n_ro, n_re = c.n, c.n_re_only, c.n_re
+    wa2, wb2, wa_conj, wb_conj = c.cols
+    np.take(w, c.a, axis=1, out=wa_conj, mode="clip")
+    np.take(w, c.b, axis=1, out=wb_conj, mode="clip")
+    np.multiply(wa_conj, 2.0, out=wa2)
+    np.multiply(wb_conj, 2.0, out=wb2)
+    np.conjugate(wa_conj, out=wa_conj)
+    np.conjugate(wb_conj, out=wb_conj)
+    re = slice(c.start, c.start + n_re)
+    im = slice(re.stop, re.stop + n - n_ro)
+    for lo in range(0, n, c.step):
+        hi = min(n, lo + c.step)
+        pp, qq, t = (x[:(hi - lo) * n].reshape(hi - lo, n) for x in work)
+        np.take(wa2, c.b[lo:hi], axis=0, out=pp, mode="clip")
+        np.take(wb_conj, c.a[lo:hi], axis=0, out=t, mode="clip")
+        pp *= t
+        np.take(wb2, c.b[lo:hi], axis=0, out=qq, mode="clip")
+        np.take(wa_conj, c.a[lo:hi], axis=0, out=t, mode="clip")
+        qq *= t
+        if lo < n_re:
+            k = min(hi, n_re) - lo
+            rows = slice(re.start + lo, re.start + lo + k)
+            np.add(pp.real[:k, :n_re], qq.real[:k, :n_re], out=out[rows, re])
+            np.subtract(qq.imag[:k, n_ro:], pp.imag[:k, n_ro:],
+                        out=out[rows, im])
+        if hi > n_ro:
+            i = max(lo, n_ro)
+            rows = slice(im.start + i - n_ro, im.start + hi - n_ro)
+            np.subtract(qq.real[i - lo:, n_ro:], pp.real[i - lo:, n_ro:],
+                        out=out[rows, im])
+    out[im, re] = out[re, im].T
+
+
+def _dense_cross(out, waw, c, pc) -> None:
+    """Write the Schur entries Tr(A_i X_k) between c's unit slots i and
+    the dense rows k from X_k = W A_k W (the rows of ``waw``,
+    flattened): Re(X_ab + X_ba) for a real slot, Im(X_ab - X_ba) for an
+    imaginary one.
+    """
+    x_ab, x_ba = waw[:, c.ab], waw[:, c.ba]
+    re = slice(c.start, c.start + c.n_re)
+    im = slice(re.stop, re.stop + c.n - c.n_re_only)
+    out[re, pc:] = (x_ab[:, :c.n_re] + x_ba[:, :c.n_re]).real.T
+    out[im, pc:] = (x_ab[:, c.n_re_only:] - x_ba[:, c.n_re_only:]).imag.T
+    out[pc:, re] = out[re, pc:].T
+    out[pc:, im] = out[im, pc:].T
 
 
 def _independent_rows(rows, b):
@@ -480,10 +589,12 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
         if diverging:
             cert = _infeasibility_certificate(comp, y)
             if cert is not None:
+                p_full = problem.num_constraints
                 return SdpSolution(
-                    status="infeasible", dual_y=y.copy(), iterations=it,
+                    status="infeasible", dual_y=_expand_dual(comp, y, p_full),
+                    iterations=it,
                     message="dual improving ray found; primal is infeasible",
-                    ray=cert,
+                    ray=_expand_dual(comp, cert, p_full),
                 )
             cert = _unboundedness_certificate(comp, xs, pobj)
             if cert is not None:
@@ -496,8 +607,11 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
         scal = [_nt_scaling(x, z) for x, z in zip(xs, zs)]
         ws = [s[0] for s in scal]
         lams = [s[3] for s in scal]
-        m = _require_finite(it, "the Schur complement", comp.schur(ws))
-        factor = _factor_with_retry(m)
+        m = comp.schur(ws)
+        # min and max carry any nan or inf, with no p x p temporary
+        _require_finite(it, "the Schur complement",
+                        (m.min(initial=0.0), m.max(initial=0.0)))
+        factor = _factor_with_retry(m, comp.factor_buf)
         if factor is None:
             message = ("Schur complement stayed indefinite after regularization "
                        "retries; returning the best iterate")
@@ -572,6 +686,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
         primal_residual=pres,
         dual_residual=dres,
         iterations=it,
+        best_iteration=best_it,
         message=message,
     )
 
@@ -587,21 +702,29 @@ def _require_finite(it, what, values):
 
 
 def _expand_dual(comp, y, p_full):
-    """Reinsert zeros for dropped dependent rows."""
-    if len(y) == p_full:
-        return y
+    """y in problem row order, with zeros for dropped dependent rows."""
     full = np.zeros(p_full)
     full[comp.keep] = y
     return full
 
 
-def _factor_with_retry(m):
-    base = max(1.0, float(np.trace(m)) / max(1, m.shape[0]))
+def _factor_with_retry(m, out):
+    """Cholesky factor of m + reg 1 in ``out``, for the first reg in a
+    rising ladder that works; None when none does.
+
+    m is symmetric, so ``out.T``, the Fortran-ordered view that LAPACK
+    factors in place, holds the same matrix.
+    """
+    p = m.shape[0]
+    base = max(1.0, float(np.trace(m)) / max(1, p))
     regs = [0.0] + [base * 10.0 ** k for k in range(-14, -5, 3)]
+    diagonal = out.reshape(-1)[::p + 1]
     for reg in regs:
+        np.copyto(out, m)
+        diagonal += reg
         try:
-            return scipy.linalg.cho_factor(
-                m + reg * np.eye(m.shape[0]), lower=True, check_finite=False)
+            return scipy.linalg.cho_factor(out.T, lower=True, overwrite_a=True,
+                                           check_finite=False)
         except scipy.linalg.LinAlgError:
             continue
     return None
@@ -610,8 +733,10 @@ def _factor_with_retry(m):
 def _solve_factored(factor, rhs, comp):
     if comp.p == 0:
         return np.zeros(0)
-    # solve() checks the result: a non-finite rhs makes it non-finite
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    # solve() checks the result: a non-finite rhs makes it non-finite;
+    # the factor is that of the Schur matrix of unit slots (``schur``)
+    return scipy.linalg.cho_solve(factor, rhs / comp.scale,
+                                  check_finite=False) / comp.scale
 
 
 def _infeasibility_certificate(comp, y):

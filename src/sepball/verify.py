@@ -196,13 +196,10 @@ def sdp_solution(problem: sdp.SdpProblem,
     """
     if sol.status not in ("optimal", "maxiter"):
         return (NamedCheck("certificate-emitted", True, 0.0),)
-    cons = problem.constraints
     b = problem.rhs
-    vals = np.array([
-        sum(float(np.real(np.trace(a @ x)))
-            for a, x in zip(mats, sol.primal))
-        for (_, mats) in cons
-    ])
+    # <A_i, X> = sum_kl A_i[k, l] X[l, k]: row i of block j times X^T
+    vals = sum(np.real(r @ x.T.ravel()) for r, x in zip(problem.rows,
+                                                         sol.primal))
     pres = float(np.linalg.norm(vals - b) / (1.0 + np.linalg.norm(b)))
     checks = [NamedCheck("primal-feasible", pres <= SOLVER_RESIDUAL_TOL,
                          SOLVER_RESIDUAL_TOL - pres)]
@@ -211,13 +208,12 @@ def sdp_solution(problem: sdp.SdpProblem,
     checks += [_psd_check(f"dual-psd-{j}", z)
                for j, z in enumerate(sol.dual_slack)]
     slack_gap = 0.0
-    for j, (c, z) in enumerate(zip(problem.objective, sol.dual_slack)):
-        rebuilt = c.astype(np.complex128).copy()
-        for yi, (_, mats) in zip(sol.dual_y, cons):
-            rebuilt -= yi * mats[j]
+    for c, z, r in zip(problem.objective, sol.dual_slack, problem.rows):
+        rebuilt = c - (r.T @ sol.dual_y).reshape(c.shape)
         slack_gap = max(slack_gap, float(np.max(np.abs(rebuilt - z))))
     # relative to the largest entries of C and of y_i A_i, absolute below 1
-    a_max = max(np.max(np.abs(a)) for (_, mats) in cons for a in mats)
+    a_max = max(float(np.max(np.abs(r.data), initial=0.0))
+                for r in problem.rows)
     slack_tol = SOLVER_RESIDUAL_TOL * max(
         1.0, *(np.max(np.abs(c)) for c in problem.objective),
         np.max(np.abs(sol.dual_y)) * a_max)

@@ -2,16 +2,18 @@
 
 No command needs these: the level-k amplification of a map as a map of
 its own, the hat functional, the dilation of a contraction, the block
-identity and norm of a bipartite element, and random map ensembles.  The
-tests keep them here, with the same code and seeds as before they left
-the package, so that their numbers do not change.
+identity and norm of a bipartite element, random map ensembles, and the
+majorizing-pair program with explicit slack blocks.  The tests keep them
+here, with the same code and seeds as before they left the package, so
+that their numbers do not change.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
-from sepball import algebra, maps, matcore
+from sepball import algebra, maps, matcore, sdp
 from sepball.errors import DimensionError
 from sepball.sampling import complex_gaussian, gue
 
@@ -134,3 +136,53 @@ def random_unital_channel_choi(rng: np.random.Generator, d: int, terms: int = 3)
         v = u.T.reshape(-1)
         choi += w * np.outer(v, v.conj())
     return choi
+
+
+def four_block_upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
+    """The majorizing-pair program with slack blocks rho_1, rho_2.
+
+    Blocks are Y, rho_1, rho_2 and t.  Rows 2k and 2k + 1 (k = u q + w)
+    fix the real and imaginary parts of entry (u, w) of Y's off-diagonal
+    block to those of Choi(psi).  The last 2 m^2 rows set
+    <1_n (x) h, Y_jj> + <h, rho_j> = Tr(h) t for h in
+    ``sdp.hermitian_basis(m)``, that is Tr_1 Y_jj + rho_j = t 1.  Its
+    optimum is that of ``cbnorm._upper_problem``, and its slack's first
+    block has the same form, so ``cbnorm._certified_pair`` and
+    ``cbnorm._dual_witness`` read its solutions too.
+    """
+    n, m = psi.dim_in, psi.dim_out
+    q = n * m
+    big = 2 * q
+    blocks = (big, m, m, 1)
+    p_pair = 2 * q * q
+    entries = [[] for _ in blocks]  # (row, flat index, value) per block
+
+    k = np.arange(q * q)
+    u, w = np.divmod(k, q)
+    upper, lower = u * big + q + w, (q + w) * big + u  # (u, q+w), (q+w, u)
+    one = np.ones(q * q, dtype=np.complex128)
+    entries[0] += [(2 * k, upper, one), (2 * k, lower, one),
+                   (2 * k + 1, upper, 1j * one), (2 * k + 1, lower, -1j * one)]
+
+    basis = np.array(sdp.hermitian_basis(m))  # E_kk (trace 1) come first
+    t, a, c = np.nonzero(basis)
+    v = basis[t, a, c]
+    for j in (0, 1):
+        row = p_pair + j * m * m + t
+        for i in range(n):
+            off = j * q + i * m
+            entries[0].append((row, (off + a) * big + off + c, v))
+        entries[1 + j].append((row, a * m + c, v))
+        diag = p_pair + j * m * m + np.arange(m)
+        entries[3].append((diag, 0 * diag, np.full(m, -1 + 0j)))
+
+    p = p_pair + 2 * m * m
+    rows = []
+    for parts, d in zip(entries, blocks):
+        r, col, val = (np.concatenate(x) for x in zip(*parts))
+        rows.append(scipy.sparse.csr_matrix((val, (r, col)),
+                                            shape=(p, d * d)))
+    rhs = np.zeros(p)
+    rhs[:p_pair] = 2.0 * psi.choi.ravel().view(np.float64)  # re, im, ...
+    objective = [np.zeros((d, d)) for d in blocks[:3]] + [np.ones((1, 1))]
+    return sdp.SdpProblem.from_rows(blocks, objective, rhs, rows)

@@ -260,7 +260,7 @@ def _dense_upper_problem(psi):
     n, m = psi.dim_in, psi.dim_out
     q = n * m
     big = 2 * q
-    blocks = (big, m, m, 1)
+    blocks = (big, 1)
 
     def zero_row():
         return [np.zeros((d, d), dtype=np.complex128) for d in blocks]
@@ -278,16 +278,15 @@ def _dense_upper_problem(psi):
             im[0][q + w, u] = -1.0j
             constraints.append((2.0 * float(b[u, w].imag), im))
     eye_n = np.eye(n)
-    for j, sblock in ((0, 1), (1, 2)):
+    for j in (0, 1):
         off = j * q
         for h in sdp.hermitian_basis(m):
             mats = zero_row()
             mats[0][off:off + q, off:off + q] = matcore.kron(eye_n, h)
-            mats[sblock] = h.astype(np.complex128)
-            mats[3][0, 0] = -float(np.real(np.trace(h)))
+            mats[1][0, 0] = -float(np.real(np.trace(h)))
             constraints.append((0.0, mats))
     objective = zero_row()
-    objective[3][0, 0] = 1.0
+    objective[1][0, 0] = 1.0
     return sdp.SdpProblem(blocks=blocks, objective=objective,
                           constraints=constraints)
 
@@ -306,3 +305,48 @@ def test_upper_problem_matches_dense_construction(n, m):
         for x, y in zip(got.rows, want.rows):
             for f in ("indptr", "indices", "data"):
                 assert getattr(x, f).tobytes() == getattr(y, f).tobytes()
+
+
+def _decomposable(n, m):
+    """Phi_1 + T o Phi_2 for random CP maps Phi_1, Phi_2: a positive map."""
+    rng = sampling.rng_from(0xDEC, n, m)
+    c1 = oracles.random_kraus_choi(rng, n, m)
+    c2 = oracles.random_kraus_choi(rng, n, m)
+    return maps.LinearMapRep(
+        n, m, c1 + matcore.partial_transpose(c2, (n, m), "second"))
+
+
+def _four_block_sandwich(psi):
+    """The sandwich of the program with slack blocks rho_1, rho_2."""
+    scale = matcore.operator_norm(psi.choi)
+    unit = maps.LinearMapRep(psi.dim_in, psi.dim_out, psi.choi / scale)
+    sol = sdp.solve(oracles.four_block_upper_problem(unit),
+                    sdp.SdpOptions(check_independence=False))
+    assert sol.status == "optimal"
+    pair = cbnorm._certified_pair(psi, sol, scale)
+    witness = cbnorm._dual_witness(psi, sol)
+    lower = matcore.operator_norm(
+        maps.apply_to_second_leg(psi, witness, psi.dim_out))
+    return cbnorm._sandwich(lower, pair.bound(), pair, witness, psi.dim_out)
+
+
+@pytest.mark.parametrize("name", ["general-3-4", "hermitian-3-4",
+                                  "decomposable-3-4"])
+def test_two_block_program_matches_the_four_block_one(name):
+    # adding 1/n (x) rho_j to Y_jj maps the slack program's points to the
+    # two-block program's, and rho_j = 0 maps them back: one optimum
+    rng = sampling.rng_from(0x2B, 3, 4)
+    f = {"general-3-4": lambda: _general(3, 4),
+         "hermitian-3-4": lambda: maps.LinearMapRep(
+             3, 4, oracles.random_hermitian_choi(rng, 3, 4)),
+         "decomposable-3-4": lambda: _decomposable(3, 4)}[name]()
+    closed = cbnorm.closed_form(f)
+    assert closed.upper - closed.lower > 1e-3 * closed.upper  # SDP needed
+    new = cbnorm.cb_norm(f)
+    old = _four_block_sandwich(f)
+    for res in (new, old):
+        checks = verify.cbnorm_result(res)
+        assert all(c.passed for c in checks), checks
+        assert not res.loose
+    assert abs(new.upper - old.upper) <= 1e-8 * old.upper
+    assert abs(new.lower - old.lower) <= 1e-8 * old.upper

@@ -158,6 +158,7 @@ def test_sdp_solve_roundtrip(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "optimal"
     assert abs(doc["primalObjective"] - 1.0) < 1e-7
+    assert 1 <= doc["bestIteration"] <= doc["iterations"]
 
 
 def test_sdp_solve_infeasible_is_success(tmp_path, capsys):

@@ -250,11 +250,11 @@ def _mixed_problem():
     z2 = np.zeros((2, 2))
     z3 = np.zeros((3, 3))
     rows = [
-        ((_units(3, {(0, 1): 0.3 + 0.7j}), z2), 0),
+        ((_units(3, {(0, 1): 0.3 + 0.7j}), z2), -1),  # v neither re nor im
         ((np.eye(3), z2), -1),  # three diagonal units
         ((z3, np.eye(2)), -1),  # E_00 + E_11
         ((_units(3, {(2, 0): -1j}), z2), 0),
-        ((z3, _units(2, {(0, 1): 0.6 - 0.8j})), 1),
+        ((z3, _units(2, {(0, 1): 0.6 - 0.8j})), -1),
         ((_units(3, {(1, 1): 2.5}), z2), 0),  # v E_aa
         ((_units(3, {(0, 1): 1.0}), _units(2, {(0, 0): 1.0})), -1),
         ((g + g.conj().T, z2), -1),  # dense random Hermitian
@@ -262,6 +262,36 @@ def _mixed_problem():
     ]
     cons = tuple((0.0, mats) for mats, _ in rows)
     prob = sdp.SdpProblem(blocks=(3, 2), objective=(np.eye(3), np.eye(2)),
+                          constraints=cons)
+    return prob, [kind for _, kind in rows]
+
+
+def _cell_problem():
+    """Complex-entry pairs in shuffled row order, lone real and lone
+    imaginary slots and diagonal units in two blocks, beside rows that
+    must stay dense: a second row for a filled slot and a dense row."""
+    rng = _rng(12)
+    z4, z3 = np.zeros((4, 4)), np.zeros((3, 3))
+    rows = [
+        ((_units(4, {(0, 2): 1.5}), z3), 0),  # pair (0, 2), real slot
+        ((z4, _units(3, {(2, 1): 0.75j})), 1),  # (1, 2), imaginary slot
+        ((_units(4, {(3, 1): 2.0}), z3), 0),  # pair (1, 3), real slot
+        ((_units(4, {(1, 1): -3.0}), z3), 0),  # diagonal unit
+        ((_units(4, {(0, 2): -0.5j}), z3), 0),  # pair (0, 2), imaginary
+        ((z4, _units(3, {(0, 1): -1.25})), 1),  # lone real slot
+        ((_units(4, {(2, 3): 4.0j}), z3), 0),  # lone imaginary slot
+        ((_units(4, {(1, 3): 0.5j}), z3), 0),  # pair (1, 3), imaginary
+        ((_units(4, {(0, 2): 1.0}), z3), -1),  # real slot of (0, 2) taken
+        ((z4, _units(3, {(2, 2): 0.25})), 1),  # diagonal unit
+        ((_units(4, {(3, 3): 1.0}), z3), 0),  # diagonal unit
+        ((z4, _units(3, {(1, 2): -2.0})), 1),  # (1, 2), real slot
+    ]
+    g = sampling.complex_gaussian(rng, (4, 4))
+    rows.append(((g + g.conj().T, np.eye(3)), -1))
+    order = _rng(13).permutation(len(rows))
+    rows = [rows[i] for i in order]
+    cons = tuple((0.0, mats) for mats, _ in rows)
+    prob = sdp.SdpProblem(blocks=(4, 3), objective=(np.eye(4), np.eye(3)),
                           constraints=cons)
     return prob, [kind for _, kind in rows]
 
@@ -278,16 +308,21 @@ def _cb_problem(n, m, seed):
 
 
 def _row_kinds(comp):
+    """Per problem row, the block whose cells hold it, or -1 if dense."""
     kinds = np.full(comp.p, -1)
-    for j, square, *_ in comp.units:
-        kinds[np.arange(comp.p)[square[0]].ravel()] = j
-    return kinds.tolist()
+    for j, cells in comp.cells.items():
+        kinds[cells.start:cells.start + len(cells.rows)] = j
+    out = np.full(comp.p, -1)
+    out[comp.keep] = kinds
+    return out.tolist()
 
 
-@pytest.mark.parametrize("case", ["cb23", "cb34", "cb42", "mixed"])
+@pytest.mark.parametrize("case", ["cb23", "cb34", "cb42", "mixed", "cells"])
 def test_schur_matches_dense_oracle(case):
     if case == "mixed":
         prob, kinds = _mixed_problem()
+    elif case == "cells":
+        prob, kinds = _cell_problem()
     else:
         n, m = int(case[2]), int(case[3])
         prob, kinds = _cb_problem(n, m, seed=n * 10 + m)
@@ -301,6 +336,8 @@ def test_schur_matches_dense_oracle(case):
         w = g @ g.conj().T + np.eye(d)
         ws.append((w + w.conj().T) / 2)
     got = comp.schur(ws)
+    assert got.tobytes() == got.T.tobytes()
+    got = got * np.outer(comp.scale, comp.scale)  # back from unit slots
 
     p = prob.num_constraints
     want = np.zeros((p, p))
@@ -309,14 +346,14 @@ def test_schur_matches_dense_oracle(case):
         a = np.array([mats[j] for _, mats in cons])
         waw = w @ a @ w
         want += np.real(np.einsum("ikl,jlk->ij", a, waw))
+    want = want[np.ix_(comp.keep, comp.keep)]  # the solver's row order
     err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
     assert err <= 1e-13
-    assert got.tobytes() == got.T.tobytes()
 
 
 def test_schur_all_dense_rows_keep_their_stacks():
     for prob, kinds in ((_random_strictly_feasible(3), [-1] * 4),
-                        _mixed_problem()):
+                        _mixed_problem(), _cell_problem()):
         comp = sdp._Compiled(prob, check_independence=False)
         assert _row_kinds(comp) == kinds
         cons = prob.constraints
@@ -332,8 +369,29 @@ def test_reduction_program_keeps_a_stack_of_its_dense_rows_only():
     comp = sdp._Compiled(cbnorm._upper_problem(maps.reduction_map(6)),
                          check_independence=False)
     assert comp.p == 2664
-    assert [s.shape for s in comp.stacks] == [
-        (72, 72, 72), (72, 6, 6), (72, 6, 6), (72, 1, 1)]
+    assert [s.shape for s in comp.stacks] == [(72, 72, 72), (72, 1, 1)]
+
+
+def _solution_bytes(sol):
+    return [a.tobytes() for a in sol.primal + sol.dual_slack + (sol.dual_y,)]
+
+
+def test_buffers_do_not_carry_over_between_solves():
+    # the Schur, factor and kernel buffers belong to one solve
+    from sepball import cbnorm, maps
+
+    rng = _rng(14)
+    first = cbnorm._upper_problem(maps.LinearMapRep(
+        3, 4, sampling.complex_gaussian(rng, (12, 12))))
+    other = cbnorm._upper_problem(maps.LinearMapRep(
+        2, 3, sampling.complex_gaussian(rng, (6, 6))))
+    opts = sdp.SdpOptions(check_independence=False)
+    a = sdp.solve(first, opts)
+    b = sdp.solve(other, opts)
+    c = sdp.solve(first, opts)
+    assert a.status == b.status == c.status == "optimal"
+    assert _solution_bytes(a) == _solution_bytes(c)
+    assert (a.iterations, a.best_iteration) == (c.iterations, c.best_iteration)
 
 
 def _posdef(rng, d, eigenvalues=None):
@@ -407,3 +465,37 @@ def test_step_to_boundary_inward_is_unbounded(case):
     for _, ds, ds_scaled in sides:
         assert sdp._step_to_boundary(lam, ds_scaled @ ds_scaled) == np.inf
     assert sdp._step_to_boundary(lam, np.zeros((len(lam),) * 2)) == np.inf
+
+
+def test_cell_problem_solves_to_a_verified_optimum():
+    from sepball import verify
+
+    prob, _ = _cell_problem()
+    rng = _rng(15)
+    x0 = [_posdef(rng, d) for d in prob.blocks]
+    cons = tuple(
+        (float(sum(np.real(np.trace(a @ x)) for a, x in zip(mats, x0))), mats)
+        for _, mats in prob.constraints)
+    prob = sdp.SdpProblem(blocks=prob.blocks,
+                          objective=tuple(_posdef(rng, d) for d in prob.blocks),
+                          constraints=cons)
+    with pytest.warns(UserWarning, match="dropped 1 linearly dependent"):
+        sol = sdp.solve(prob)  # the second row for a filled slot
+    assert sol.status == "optimal"
+    assert 1 <= sol.best_iteration <= sol.iterations
+    assert len(sol.dual_y) == prob.num_constraints
+    checks = verify.sdp_solution(prob, sol)
+    assert all(c.passed for c in checks), checks
+
+
+def test_best_iteration_names_the_returned_iterate(monkeypatch):
+    # X_00 = 0 and Tr X = 1 leave no interior point, so with unreachable
+    # tolerances progress stalls and the iterate of 8 steps back is kept
+    monkeypatch.setattr(sdp, "FEAS_TOL", 0.0)
+    prob = sdp.SdpProblem(
+        blocks=(2,), objective=(np.diag([1.0, 2.0]),),
+        constraints=((0.0, (np.diag([1.0, 0.0]),)), (1.0, (np.eye(2),))))
+    sol = sdp.solve(prob, sdp.SdpOptions(gap_tol=0.0))
+    assert sol.status == "optimal" and "stalled" in sol.message
+    assert sol.best_iteration == sol.iterations - 8
+    assert abs(sol.primal_obj - 2.0) < 1e-7
