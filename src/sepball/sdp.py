@@ -249,9 +249,9 @@ class _Compiled:
         self.dense_conj = [a[self.p_cells:] for a in self.csr_conj]
         self.stacks = [r[self.p_cells:].toarray().reshape(-1, d, d)
                        for r, d in zip(self.csr, self.blocks)]
-        self.scale = np.ones(self.p)  # r or s of the cell rows, 1 for dense
-        for c in self.cells.values():
-            self.scale[c.start:c.start + len(c.rows)] = c.scale
+        # r or s of the cell rows, 1 for the dense rows
+        self.scale = np.concatenate([c.scale for c in self.cells.values()]
+                                    + [np.ones(self.p - self.p_cells)])
         self.norm_b = float(np.linalg.norm(self.b))
         self.norm_c = float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in self.C)))
 
