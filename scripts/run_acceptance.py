@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sepball import cli, jsonio, maps, sdp
+from sepball import cbnorm, cli, jsonio, maps, sdp
 
 BATTERY = [
     ["cbnorm", "--map", "transpose:2"],
@@ -52,6 +52,15 @@ def _write_problem(path: Path) -> None:
         objective=(np.diag([3.0, 1.0, 2.0]),),
         constraints=((1.0, (np.eye(3),)),),
     )
+    path.write_text(jsonio.dumps(jsonio.encode_sdp_problem(prob)))
+
+
+def _write_cb_problem(path: Path) -> None:
+    """The majorizing-pair program of a fixed general map M_2 -> M_3
+    (p = 90): all its rows are cell slots, and each owns an entry."""
+    rng = np.random.default_rng(0x23)
+    choi = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    prob = cbnorm._upper_problem(maps.LinearMapRep(2, 3, choi))
     path.write_text(jsonio.dumps(jsonio.encode_sdp_problem(prob)))
 
 
@@ -112,6 +121,7 @@ def run_battery(outdir: Path, inputs: Path) -> list[bytes]:
         ["sdp-solve", "--problem", str(inputs / "problem.json"), "--verify"],
         ["sdp-solve", "--problem", str(inputs / "mixed.json"), "--verify"],
         ["cbnorm", "--map", f"file:{inputs / 'map34.json'}", "--verify"],
+        ["sdp-solve", "--problem", str(inputs / "cb23.json"), "--verify"],
     ]
     for i, argv in enumerate(BATTERY + file_argv):
         out = outdir / f"run{i:02d}.json"
@@ -144,6 +154,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         _write_problem(base / "problem.json")
+        _write_cb_problem(base / "cb23.json")
         _write_mixed_problem(base / "mixed.json")
         _write_map(base / "map34.json")
         dir_a = base / "a"

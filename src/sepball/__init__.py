@@ -34,7 +34,7 @@ from .maps import (
     reduction_map,
     transpose_map,
 )
-from .sdp import SdpOptions, SdpProblem, SdpSolution, hermitian_basis, solve
+from .sdp import SdpProblem, SdpSolution, hermitian_basis, solve
 from .separability import (
     ScanReport,
     SepVerdict,
@@ -71,7 +71,6 @@ __all__ = [
     "RankFormulaReport",
     "ScanReport",
     "SchemaError",
-    "SdpOptions",
     "SdpProblem",
     "SdpSolution",
     "SearchBudget",

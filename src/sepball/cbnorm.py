@@ -191,19 +191,17 @@ def _dual_witness(psi: maps.LinearMapRep, sol: sdp.SdpSolution) -> np.ndarray:
     return np.conj(k.reshape(n, m, n, m).transpose(1, 0, 3, 2)).reshape(q, q)
 
 
-def cb_upper_sdp(psi: maps.LinearMapRep,
-                 options: sdp.SdpOptions | None = None):
+def cb_upper_sdp(psi: maps.LinearMapRep, gap_tol: float = sdp.GAP_TOL):
     """Solve the majorizing-pair program; returns (value, pair, witness).
 
     The program is solved for psi / ||Choi(psi)||, as the norm is
-    homogeneous.  The value is the certified pair's ``bound()`` on psi's
-    scale; the witness is the dual contraction at level dim_out (see
-    ``_dual_witness``).
+    homogeneous, to the relative duality gap ``gap_tol``.  The value is
+    the certified pair's ``bound()`` on psi's scale; the witness is the
+    dual contraction at level dim_out (see ``_dual_witness``).
     """
     scale = matcore.operator_norm(psi.choi) or 1.0
     unit = maps.LinearMapRep(psi.dim_in, psi.dim_out, psi.choi / scale)
-    opts = options or sdp.SdpOptions(check_independence=False)
-    sol = sdp.solve(_upper_problem(unit), opts)
+    sol = sdp.solve(_upper_problem(unit), gap_tol=gap_tol)
     if sol.status != "optimal":
         raise ConvergenceError(
             f"cb upper-bound program ended with status {sol.status}: "
@@ -308,13 +306,14 @@ def _sandwich(lower: float, upper: float, pair: MajorizingPair,
 
 def cb_norm(psi: maps.LinearMapRep, level: int | None = None, seed: int = 0,
             budget: SearchBudget = SearchBudget(),
-            options: sdp.SdpOptions | None = None) -> CbNormResult:
+            gap_tol: float = sdp.GAP_TOL) -> CbNormResult:
     """Sandwich the cb norm between explicit lower and certified upper bounds.
 
     By default (``level`` None) this is ``closed_form(psi)`` if it closes,
-    else the SDP bound with its dual's lower bound at level dim_out, and
-    ``seed`` and ``budget`` are unused.  An explicit ``level`` k takes the
-    lower bound from the seeded search of ``amplification_norm`` instead.
+    else the SDP bound (``cb_upper_sdp`` to the gap ``gap_tol``) with its
+    dual's lower bound at level dim_out, and ``seed`` and ``budget`` are
+    unused.  An explicit ``level`` k takes the lower bound from the
+    seeded search of ``amplification_norm`` instead.
     """
     if level is None:
         res = closed_form(psi)
@@ -323,7 +322,7 @@ def cb_norm(psi: maps.LinearMapRep, level: int | None = None, seed: int = 0,
     else:  # search first: a bad level fails before the solve
         lower, witness = amplification_norm(psi, level, seed=seed,
                                             budget=budget)
-    upper, pair, dual_witness = cb_upper_sdp(psi, options=options)
+    upper, pair, dual_witness = cb_upper_sdp(psi, gap_tol=gap_tol)
     if level is None:
         level, witness = psi.dim_out, dual_witness
         lower = matcore.operator_norm(

@@ -62,7 +62,7 @@ _SHARED_FLAGS = {
                    help="master seed for all stochastic procedures"),
     "--tol-psd": dict(type=_tolerance, default=separability.PSD_SLACK,
                       help="eigenvalue slack for positivity checks"),
-    "--tol-gap": dict(type=_tolerance, default=sdp.SdpOptions.gap_tol,
+    "--tol-gap": dict(type=_tolerance, default=sdp.GAP_TOL,
                       help="duality-gap target for interior-point solves"),
     "--threads": dict(type=_nonnegative_int, default=0,
                       help="worker threads for scans (0 = logical cores)"),
@@ -259,10 +259,6 @@ def _emit(args, doc: dict) -> None:
         sys.stdout.write(text)
 
 
-def _sdp_options(args) -> sdp.SdpOptions:
-    return sdp.SdpOptions(gap_tol=args.tol_gap, check_independence=False)
-
-
 # Each handler only computes and encodes.  It returns (document, exit
 # code, unsettled, checks): `unsettled` marks an undecided or loose result
 # for --strict, and `checks` holds the --verify re-checks (None if not
@@ -271,7 +267,7 @@ def _sdp_options(args) -> sdp.SdpOptions:
 def _run_cbnorm(args):
     f = _parse_map_spec(args.map)
     res = cbnorm.cb_norm(f, level=args.level, seed=args.seed,
-                         options=_sdp_options(args))
+                         gap_tol=args.tol_gap)
     checks = verify.cbnorm_result(res) if args.verify else None
     return jsonio.encode_cbnorm_result(res), 0, res.loose, checks
 
@@ -324,7 +320,7 @@ def _run_kappa(args):
 def _run_sdp_solve(args):
     problem = jsonio.decode_sdp_problem(
         jsonio.load_document(args.problem), path=args.problem)
-    sol = sdp.solve(problem, sdp.SdpOptions(gap_tol=args.tol_gap))
+    sol = sdp.solve(problem, gap_tol=args.tol_gap)
     checks = verify.sdp_solution(problem, sol) if args.verify else None
     code = 1 if sol.status == "maxiter" else 0
     return jsonio.encode_sdp_solution(sol), code, False, checks

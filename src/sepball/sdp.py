@@ -11,10 +11,13 @@ blocks are handled natively: the Nesterov-Todd scaling, the Schur
 complement and all eigencomputations run in complex arithmetic, never
 through a doubled real embedding.
 
-Constraint rows are stored once, as one CSR matrix per block, and come
-in two kinds, sorted once per solve.  An entrywise row sits in one block
-as r (E_ab + E_ba) or s (i E_ab - i E_ba) (a < b, r and s real) or as
-v E_aa (v real): the real or the imaginary slot of the cell (a, b).
+Constraint rows are stored once, as one CSR matrix per block.  A solve
+first drops dependent rows, named in the solution's message: rows that
+own an entry are kept, and a pivoted QR decides the rest
+(``_independent_rows``).  The kept rows come in two kinds, sorted once
+per solve.  An entrywise row sits in one block as r (E_ab + E_ba) or
+s (i E_ab - i E_ba) (a < b, r and s real) or as v E_aa (v real): the
+real or the imaginary slot of the cell (a, b).
 Between two cells of one block the four Schur entries Tr(A_i W A_j W)
 of their slots are real and imaginary parts of P +- Q, where P and Q are
 products of two entries of W (the structured Schur formulas of
@@ -41,7 +44,6 @@ repeated solves of the same problem are bitwise identical.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +53,10 @@ import scipy.sparse
 from . import matcore
 from .errors import ConvergenceError, DimensionError
 
-# Fixed algorithm constants (read-only; not part of SdpOptions).
+# Fixed algorithm constants (read-only).
 MAX_ITER = 200
 FEAS_TOL = 1e-9  # relative primal and dual residuals of an optimal iterate
+GAP_TOL = 1e-9  # default relative duality gap of an optimal iterate
 STEP_FRACTION = 0.98
 DIVERGENCE_SCALE = 1e8
 LOOSE_MERIT = 1e-7  # accept early-terminated iterates up to this KKT merit
@@ -61,20 +64,6 @@ LOOSE_MERIT = 1e-7  # accept early-terminated iterates up to this KKT merit
 # arrays of this many entries (more only where a block has more cells),
 # allocated once per solve and small enough to stay in cache.
 CHUNK_ENTRIES = 1 << 13
-
-
-@dataclass(frozen=True)
-class SdpOptions:
-    """Duality-gap tolerance and the dependent-row check.
-
-    ``check_independence`` drops linearly dependent rows before the
-    solve (``_independent_rows``).  ``sdp-solve`` keeps it on, because
-    rows written by a user may be dependent; ``cbnorm`` turns it off,
-    because its rows are independent by construction.
-    """
-
-    gap_tol: float = 1e-9
-    check_independence: bool = True
 
 
 @dataclass(frozen=True)
@@ -197,37 +186,31 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
 class _Compiled:
     """Constraint data in the solver's row order, and the Schur buffers.
 
-    Rows are sorted once (see ``_entrywise_cells`` and ``_Cells``): per
-    block the slots of its cells, then the dense rows in problem order;
-    ``keep[i]`` is the problem row of row i.  Only the dense rows get a
-    (p_dense, d, d) stack.  The p x p Schur and factor buffers and the
-    kernel's workspace are allocated here, once per solve, and refilled
-    in every iteration.
+    Dependent rows are dropped (``_independent_rows``) and the rest sorted
+    once (see ``_entrywise_cells`` and ``_Cells``): per block the slots of
+    its cells, then the dense rows in problem order; ``keep[i]`` is the
+    problem row of row i.  Only the dense rows get a (p_dense, d, d)
+    stack.  The p x p Schur and factor buffers and the kernel's workspace
+    are allocated here, once per solve, and refilled in every iteration.
     """
 
-    def __init__(self, problem: SdpProblem, check_independence: bool):
+    def __init__(self, problem: SdpProblem):
         self.blocks = problem.blocks
         self.C = [c.copy() for c in problem.objective]
-        self.inconsistent = None
-
         p = problem.num_constraints
         b, rows = problem.rhs, problem.rows
 
-        keep = np.arange(p)
-        if check_independence and p > 1:
-            keep, dropped, inconsistent = _independent_rows(rows, b)
+        keep, self.note, self.inconsistent = np.arange(p), "", None
+        if p > 1:
+            keep, dropped, bad = _independent_rows(rows, b)
             if dropped:
-                warnings.warn(
-                    f"dropped {len(dropped)} linearly dependent constraint rows: "
-                    f"{sorted(dropped)}",
-                    stacklevel=3,
-                )
+                self.note = (f"dropped {len(dropped)} linearly dependent "
+                             f"constraint rows: {dropped}")
                 rows = [r[keep] for r in rows]
-            if inconsistent is not None:
-                self.inconsistent = (
-                    f"constraint {inconsistent} is a linear combination of the "
-                    "others but its right-hand side disagrees"
-                )
+            if bad is not None:
+                self.inconsistent = _joined(self.note, (
+                    f"constraint {bad} is a linear combination of the others "
+                    "but its right-hand side disagrees"))
 
         self.cells = {}  # block: its _Cells
         self.p_cells = 0
@@ -306,10 +289,10 @@ def _entrywise_cells(csr, blocks):
     they read r (E_ab + E_ba) or s (i E_ab - i E_ba) with a < b and r, s
     real and nonzero, the real and the imaginary slot of cell (a, b), or
     v E_aa with v real and nonzero, the real slot of cell (a, a) with
-    r = v / 2.  A slot takes its first such row; a second row for a
-    filled slot, a row v E_ab + conj(v) E_ba whose v is neither real nor
-    imaginary, and every other row are dense.  Two diagonal units (such
-    as the identity of size 2) make a dense row.  Returns per block
+    r = v / 2.  Every other row is dense, such as v E_ab + conj(v) E_ba
+    with v neither real nor imaginary, or two diagonal units (such as the
+    identity of size 2).  Rows for one slot are proportional, so the
+    dependent-row check leaves one of them.  Returns per block
     (rows, cell, slot, coef): the rows in increasing order, their cells
     a d + b, their slots (0 real, 1 imaginary) and their r or s.
     """
@@ -345,9 +328,7 @@ def _entrywise_cells(csr, blocks):
         slot = np.concatenate([np.zeros(len(one), dtype=np.intp), slot2])
         coef = np.concatenate([coef1, coef2])
         order = np.argsort(rows)
-        _, first = np.unique((2 * cell + slot)[order], return_index=True)
-        pick = order[np.sort(first)]
-        found.append((rows[pick], cell[pick], slot[pick], coef[pick]))
+        found.append((rows[order], cell[order], slot[order], coef[order]))
     return found
 
 
@@ -451,36 +432,54 @@ def _dense_cross(out, waw, c, pc) -> None:
 
 
 def _independent_rows(rows, b):
-    """Select a maximal independent subset of constraint rows via pivoted QR.
+    """(keep, dropped, inconsistent): a maximal independent subset of the
+    rows (real and imaginary parts, scaled to unit norm with their rhs so
+    that one huge row does not make the others look dependent), the
+    others, and the first dropped row whose rhs disagrees, or None.
 
-    Each row and its right-hand side are first scaled to unit row norm,
-    so that one huge row does not make the others look dependent.
+    A row that owns a column (no other row left touches it) with an entry
+    above the rank threshold is peeled and kept, until none is (Andersen
+    and Andersen, Math. Prog. 71, 1995): in a linear dependency each row
+    peeled has coefficient 0, given those of the rows peeled before it.
+    A pivoted QR of the rows left decides them.
     """
     p = len(b)
-    dense = [r.toarray() for r in rows]
-    v = np.hstack([x for a in dense for x in (a.real, a.imag)])  # (p, dof)
-    norms = np.linalg.norm(v, axis=1)
+    v = scipy.sparse.hstack([x for a in rows for x in (a.real, a.imag)],
+                            format="csr")
+    v.eliminate_zeros()
+    row_of = np.repeat(np.arange(p), np.diff(v.indptr))
+    norms = np.sqrt(np.bincount(row_of, v.data ** 2, minlength=p))
     norms[norms == 0.0] = 1.0
-    v = v / norms[:, None]
+    v.data /= norms[row_of]
     b = b / norms
-    r = scipy.linalg.qr(v.T, mode="r", pivoting=True)
-    rmat, piv = r[0], r[1]
+    tol = 1e-12 * max(v.shape)  # the QR's rank threshold for diag[0] = 1
+    cols, big = v.indices, np.abs(v.data) > tol
+    left = np.ones(p, dtype=bool)
+    while True:
+        count = np.bincount(cols[left[row_of]], minlength=v.shape[1])
+        own = big & left[row_of] & (count[cols] == 1)
+        if not own.any():
+            break
+        left[row_of[own]] = False
+    rest = np.flatnonzero(left)
+    if len(rest) == 0:
+        return np.arange(p), [], None
+    sub = v[rest]
+    sub = sub[:, np.unique(sub.indices)].toarray()  # the columns they touch
+    b = b[rest]
+    rmat, piv = scipy.linalg.qr(sub.T, mode="r", pivoting=True)
     diag = np.abs(np.diagonal(rmat))
-    if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(diag > 1e-12 * diag[0] * max(v.shape)))
-    keep = np.sort(piv[:rank])
-    dropped = sorted(set(range(p)) - set(keep.tolist()))
+    rank = np.count_nonzero(diag > tol * diag[0]) if diag.size else 0
+    kept = np.sort(piv[:rank])
+    dropped = np.setdiff1d(np.arange(len(rest)), kept)
     inconsistent = None
-    if dropped:
-        vk = v[keep]
-        for i in dropped:
-            coef, *_ = np.linalg.lstsq(vk.T, v[i], rcond=None)
-            if abs(float(coef @ b[keep]) - b[i]) > 1e-9 * max(1.0, abs(b[i])):
-                inconsistent = i
-                break
-    return keep, dropped, inconsistent
+    for i in dropped:
+        coef, *_ = np.linalg.lstsq(sub[kept].T, sub[i], rcond=None)
+        if abs(float(coef @ b[kept]) - b[i]) > 1e-9 * max(1.0, abs(b[i])):
+            inconsistent = int(rest[i])
+            break
+    dropped = rest[dropped]
+    return np.setdiff1d(np.arange(p), dropped), dropped.tolist(), inconsistent
 
 
 def _herm(m):
@@ -521,10 +520,9 @@ def _step_to_boundary(lam, ds):
     return -1.0 / lam_min
 
 
-def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution:
+def solve(problem: SdpProblem, gap_tol: float = GAP_TOL) -> SdpSolution:
     """Run the interior-point iteration; see the module docstring."""
-    opts = options or SdpOptions()
-    comp = _Compiled(problem, opts.check_independence)
+    comp = _Compiled(problem)
     if comp.inconsistent is not None:
         return SdpSolution(status="infeasible", message=comp.inconsistent)
 
@@ -575,7 +573,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
             stall += 1
 
         if (pres <= FEAS_TOL and dres <= FEAS_TOL
-                and rel_gap <= opts.gap_tol and cgap <= opts.gap_tol):
+                and rel_gap <= gap_tol and cgap <= gap_tol):
             status = "optimal"
             break
         if stall >= 8 and best_merit <= LOOSE_MERIT:
@@ -593,14 +591,16 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
                 return SdpSolution(
                     status="infeasible", dual_y=_expand_dual(comp, y, p_full),
                     iterations=it,
-                    message="dual improving ray found; primal is infeasible",
+                    message=_joined(comp.note, "dual improving ray found; "
+                                    "primal is infeasible"),
                     ray=_expand_dual(comp, cert, p_full),
                 )
             cert = _unboundedness_certificate(comp, xs, pobj)
             if cert is not None:
                 return SdpSolution(
                     status="unbounded", iterations=it,
-                    message="primal improving ray found; objective is unbounded",
+                    message=_joined(comp.note, "primal improving ray found; "
+                                    "objective is unbounded"),
                     ray=cert,
                 )
 
@@ -670,8 +670,8 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
         # near-optimal iterates can kill the Schur factorization or the
         # step sizes before the strict tolerance test fires
         status = "optimal"
-        extra = f"accepted the best iterate at merit {best_merit:.3e}"
-        message = f"{message}; {extra}" if message else extra
+        message = _joined(
+            message, f"accepted the best iterate at merit {best_merit:.3e}")
     if status != "optimal" and not message:
         message = f"iteration limit reached at merit {best_merit:.3e}"
     return SdpSolution(
@@ -687,8 +687,12 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
         dual_residual=dres,
         iterations=it,
         best_iteration=best_it,
-        message=message,
+        message=_joined(comp.note, message),
     )
+
+
+def _joined(*notes) -> str:
+    return "; ".join(n for n in notes if n)
 
 
 def _require_finite(it, what, values):

@@ -2,8 +2,9 @@
 
 No command needs these: the level-k amplification of a map as a map of
 its own, the hat functional, the dilation of a contraction, the block
-identity and norm of a bipartite element, random map ensembles, and the
-majorizing-pair program with explicit slack blocks.  The tests keep them
+identity and norm of a bipartite element, random map ensembles, the
+majorizing-pair program with explicit slack blocks, and the dependent-row
+check as one dense pivoted QR of all rows.  The tests keep them
 here, with the same code and seeds as before they left the package, so
 that their numbers do not change.
 """
@@ -11,6 +12,7 @@ that their numbers do not change.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from sepball import algebra, maps, matcore, sdp
@@ -186,3 +188,37 @@ def four_block_upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
     rhs[:p_pair] = 2.0 * psi.choi.ravel().view(np.float64)  # re, im, ...
     objective = [np.zeros((d, d)) for d in blocks[:3]] + [np.ones((1, 1))]
     return sdp.SdpProblem.from_rows(blocks, objective, rhs, rows)
+
+
+def dense_independent_rows(rows, b):
+    """Select a maximal independent subset of constraint rows via pivoted QR.
+
+    Each row and its right-hand side are first scaled to unit row norm,
+    so that one huge row does not make the others look dependent.
+    Returns (keep, dropped, inconsistent) as ``sdp._independent_rows``.
+    """
+    p = len(b)
+    dense = [r.toarray() for r in rows]
+    v = np.hstack([x for a in dense for x in (a.real, a.imag)])  # (p, dof)
+    norms = np.linalg.norm(v, axis=1)
+    norms[norms == 0.0] = 1.0
+    v = v / norms[:, None]
+    b = b / norms
+    r = scipy.linalg.qr(v.T, mode="r", pivoting=True)
+    rmat, piv = r[0], r[1]
+    diag = np.abs(np.diagonal(rmat))
+    if diag.size == 0 or diag[0] == 0.0:
+        rank = 0
+    else:
+        rank = int(np.sum(diag > 1e-12 * diag[0] * max(v.shape)))
+    keep = np.sort(piv[:rank])
+    dropped = sorted(set(range(p)) - set(keep.tolist()))
+    inconsistent = None
+    if dropped:
+        vk = v[keep]
+        for i in dropped:
+            coef, *_ = np.linalg.lstsq(vk.T, v[i], rcond=None)
+            if abs(float(coef @ b[keep]) - b[i]) > 1e-9 * max(1.0, abs(b[i])):
+                inconsistent = i
+                break
+    return keep, dropped, inconsistent

@@ -320,8 +320,7 @@ def _four_block_sandwich(psi):
     """The sandwich of the program with slack blocks rho_1, rho_2."""
     scale = matcore.operator_norm(psi.choi)
     unit = maps.LinearMapRep(psi.dim_in, psi.dim_out, psi.choi / scale)
-    sol = sdp.solve(oracles.four_block_upper_problem(unit),
-                    sdp.SdpOptions(check_independence=False))
+    sol = sdp.solve(oracles.four_block_upper_problem(unit))
     assert sol.status == "optimal"
     pair = cbnorm._certified_pair(psi, sol, scale)
     witness = cbnorm._dual_witness(psi, sol)

@@ -174,6 +174,23 @@ def test_sdp_solve_infeasible_is_success(tmp_path, capsys):
     assert json.loads(out)["status"] == "infeasible"
 
 
+def test_sdp_solve_reports_dropped_rows_in_the_message(tmp_path, capsys):
+    # a dropped dependent row is part of the result, not a stray warning
+    prob = sdp.SdpProblem(
+        blocks=(2,),
+        objective=(np.diag([2.0, 1.0]),),
+        constraints=((1.0, (np.eye(2),)), (1.0, (np.eye(2),))),
+    )
+    path = tmp_path / "prob.json"
+    path.write_text(jsonio.dumps(jsonio.encode_sdp_problem(prob)))
+    code, out, err = _run(capsys, "sdp-solve", "--problem", str(path),
+                          "--verify")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["status"] == "optimal" and doc["verify"]["passed"] is True
+    assert doc["message"] == "dropped 1 linearly dependent constraint rows: [1]"
+
+
 def _scaled_problem(case, v):
     """Tr X = 1 and X_00 = 0.5 on blocks (2,), with the off-diagonal pair
     v(1 +- i) in the objective ("ray", optimum 1.5 - sqrt(2) v) or in the

@@ -1,9 +1,11 @@
 import numpy as np
 import numpy.testing as nptest
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sepball import matcore, sampling, sdp
 from sepball.errors import DimensionError, HermiticityError
 
@@ -118,9 +120,10 @@ def test_infeasible_pair_of_constraints():
         objective=(np.eye(2),),
         constraints=((1.0, (np.eye(2),)), (2.0, (np.eye(2),))),
     )
-    with pytest.warns(UserWarning, match="dependent"):
-        sol = sdp.solve(prob)
+    sol = sdp.solve(prob)
     assert sol.status == "infeasible"
+    assert sol.message.startswith(
+        "dropped 1 linearly dependent constraint rows: [1]; constraint 1 ")
 
 
 def test_unbounded_problem():
@@ -147,9 +150,9 @@ def test_duplicate_constraints_are_dropped():
             (2.0, (2.0 * np.eye(2),)),
         ),
     )
-    with pytest.warns(UserWarning, match="dependent"):
-        sol = sdp.solve(prob)
+    sol = sdp.solve(prob)
     assert sol.status == "optimal"
+    assert sol.message.startswith("dropped 2 linearly dependent")
     assert abs(sol.primal_obj - 1.0) < 1e-8
     assert sol.dual_y.shape == (3,)
 
@@ -268,8 +271,8 @@ def _mixed_problem():
 
 def _cell_problem():
     """Complex-entry pairs in shuffled row order, lone real and lone
-    imaginary slots and diagonal units in two blocks, beside rows that
-    must stay dense: a second row for a filled slot and a dense row."""
+    imaginary slots and diagonal units in two blocks, beside a dense row
+    and a second row for a filled slot, which is dependent (kind None)."""
     rng = _rng(12)
     z4, z3 = np.zeros((4, 4)), np.zeros((3, 3))
     rows = [
@@ -281,7 +284,7 @@ def _cell_problem():
         ((z4, _units(3, {(0, 1): -1.25})), 1),  # lone real slot
         ((_units(4, {(2, 3): 4.0j}), z3), 0),  # lone imaginary slot
         ((_units(4, {(1, 3): 0.5j}), z3), 0),  # pair (1, 3), imaginary
-        ((_units(4, {(0, 2): 1.0}), z3), -1),  # real slot of (0, 2) taken
+        ((_units(4, {(0, 2): 1.0}), z3), None),  # real slot of (0, 2) taken
         ((z4, _units(3, {(2, 2): 0.25})), 1),  # diagonal unit
         ((_units(4, {(3, 3): 1.0}), z3), 0),  # diagonal unit
         ((z4, _units(3, {(1, 2): -2.0})), 1),  # (1, 2), real slot
@@ -307,14 +310,16 @@ def _cb_problem(n, m, seed):
     return prob, kinds
 
 
-def _row_kinds(comp):
-    """Per problem row, the block whose cells hold it, or -1 if dense."""
+def _row_kinds(comp, p):
+    """Per problem row, the block whose cells hold it, -1 if dense, or
+    None if the dependent-row check dropped it."""
     kinds = np.full(comp.p, -1)
     for j, cells in comp.cells.items():
         kinds[cells.start:cells.start + len(cells.rows)] = j
-    out = np.full(comp.p, -1)
-    out[comp.keep] = kinds
-    return out.tolist()
+    out = [None] * p
+    for i, kind in zip(comp.keep, kinds.tolist()):
+        out[i] = kind
+    return out
 
 
 @pytest.mark.parametrize("case", ["cb23", "cb34", "cb42", "mixed", "cells"])
@@ -326,8 +331,8 @@ def test_schur_matches_dense_oracle(case):
     else:
         n, m = int(case[2]), int(case[3])
         prob, kinds = _cb_problem(n, m, seed=n * 10 + m)
-    comp = sdp._Compiled(prob, check_independence=False)
-    assert _row_kinds(comp) == kinds
+    comp = sdp._Compiled(prob)
+    assert _row_kinds(comp, prob.num_constraints) == kinds
 
     rng = _rng(5)
     ws = []
@@ -354,8 +359,8 @@ def test_schur_matches_dense_oracle(case):
 def test_schur_all_dense_rows_keep_their_stacks():
     for prob, kinds in ((_random_strictly_feasible(3), [-1] * 4),
                         _mixed_problem(), _cell_problem()):
-        comp = sdp._Compiled(prob, check_independence=False)
-        assert _row_kinds(comp) == kinds
+        comp = sdp._Compiled(prob)
+        assert _row_kinds(comp, prob.num_constraints) == kinds
         cons = prob.constraints
         dense = [i for i, kind in enumerate(kinds) if kind == -1]
         for j in range(len(prob.blocks)):
@@ -366,10 +371,97 @@ def test_schur_all_dense_rows_keep_their_stacks():
 def test_reduction_program_keeps_a_stack_of_its_dense_rows_only():
     from sepball import cbnorm, maps
 
-    comp = sdp._Compiled(cbnorm._upper_problem(maps.reduction_map(6)),
-                         check_independence=False)
+    comp = sdp._Compiled(cbnorm._upper_problem(maps.reduction_map(6)))
     assert comp.p == 2664
     assert [s.shape for s in comp.stacks] == [(72, 72, 72), (72, 1, 1)]
+
+
+def _entry_rows(*rows):
+    """One block of size 3 with rows (rhs, {(a, b): v}) as in ``_units``."""
+    return sdp.SdpProblem(
+        blocks=(3,), objective=(np.eye(3),),
+        constraints=tuple((b, (_units(3, e),)) for b, e in rows))
+
+
+# Per case: the problem, how many rows the QR must see and how many
+# rows the check drops.
+_PEEL_CASES = {
+    # rows 0-2 (row 2 = row 0 + row 1) share every column; 3-5 peel
+    "dependency-beside-peels": lambda: (_entry_rows(
+        (1.0, {(0, 0): 1.0, (1, 1): 1.0}), (2.0, {(1, 1): 1.0, (2, 2): 1.0}),
+        (3.0, {(0, 0): 1.0, (1, 1): 2.0, (2, 2): 1.0}),
+        (0.5, {(0, 1): 1.0}), (0.1, {(1, 2): 2j}),
+        (0.2, {(0, 2): 1.0, (0, 0): 0.5})), 3, 1),
+    # rows 0 and 2 own (0, 1) and the imaginary slot of (1, 2); row 1
+    # owns (0, 0) and (1, 1) once they are gone; 3 and 4 are proportional
+    "second-round-peel": lambda: (_entry_rows(
+        (1.0, {(0, 1): 1.0, (0, 0): 1.0}), (1.0, {(0, 0): 1.0, (1, 1): 1.0}),
+        (1.0, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): 1j}),
+        (1.0, {(2, 2): 1.0, (0, 2): 1.0}), (2.0, {(2, 2): 2.0, (0, 2): 2.0})),
+        2, 1),
+    # row 1 owns (1, 1) with an entry below the rank threshold, so it is
+    # left to the QR, which finds it dependent on row 0
+    "near-dependent-private-entry": lambda: (_entry_rows(
+        (1.0, {(0, 0): 1.0}), (1.0, {(0, 0): 1.0, (1, 1): 1e-14}),
+        (0.0, {(0, 1): 1j})), 2, 1),
+    # which of two proportional rows a QR drops is a tie broken by the
+    # QR's column order, which a row pivoted before them changes; row 0
+    # peels and comes first, so both QRs drop row 2
+    "inconsistent-duplicate": lambda: (_entry_rows(
+        (1.0, {(1, 1): 1.0}), (1.0, {(0, 1): 1.0}), (3.0, {(0, 1): 2.0})),
+        2, 1),
+    "mixed": lambda: (_mixed_problem()[0], 0, 0),
+    "cells": lambda: (_cell_problem()[0], 2, 1),
+    "cb23": lambda: (_cb_problem(2, 3, seed=23)[0], 0, 0),
+    "infeasible-pair": lambda: (sdp.SdpProblem(
+        blocks=(2,), objective=(np.eye(2),),
+        constraints=((1.0, (np.eye(2),)), (2.0, (np.eye(2),)))), 2, 1),
+    "duplicates": lambda: (sdp.SdpProblem(
+        blocks=(2,), objective=(np.diag([2.0, 1.0]),),
+        constraints=((1.0, (np.eye(2),)), (1.0, (np.eye(2),)),
+                     (2.0, (2.0 * np.eye(2),)))), 3, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_PEEL_CASES))
+def test_independent_rows_match_the_dense_oracle(case, monkeypatch):
+    prob, qr_rows, n_dropped = _PEEL_CASES[case]()
+    keep, dropped, inconsistent = oracles.dense_independent_rows(
+        prob.rows, prob.rhs)
+    seen = []
+    qr = scipy.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        seen.append(a.shape[1])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
+    got = sdp._independent_rows(prob.rows, prob.rhs)
+    assert got[0].tolist() == keep.tolist()
+    assert (got[1], got[2]) == (dropped, inconsistent)
+    assert len(dropped) == n_dropped
+    assert (inconsistent is not None) == (case in ("inconsistent-duplicate",
+                                                   "infeasible-pair"))
+    assert seen == ([qr_rows] if qr_rows else [])
+
+
+def test_cb_programs_never_reach_the_qr(monkeypatch):
+    # every row of the cb programs owns an entry of its own, so all peel
+    from sepball import cbnorm, maps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dependent-row check ran a QR")
+
+    monkeypatch.setattr(scipy.linalg, "qr", refuse)
+    rng = _rng(16)
+    general = maps.LinearMapRep(3, 4, sampling.complex_gaussian(rng, (12, 12)))
+    for prob in (cbnorm._upper_problem(general),
+                 cbnorm._upper_problem(maps.reduction_map(6)),
+                 oracles.four_block_upper_problem(general)):
+        keep, dropped, inconsistent = sdp._independent_rows(prob.rows,
+                                                            prob.rhs)
+        assert keep.tolist() == list(range(prob.num_constraints))
+        assert (dropped, inconsistent) == ([], None)
 
 
 def _solution_bytes(sol):
@@ -385,10 +477,9 @@ def test_buffers_do_not_carry_over_between_solves():
         3, 4, sampling.complex_gaussian(rng, (12, 12))))
     other = cbnorm._upper_problem(maps.LinearMapRep(
         2, 3, sampling.complex_gaussian(rng, (6, 6))))
-    opts = sdp.SdpOptions(check_independence=False)
-    a = sdp.solve(first, opts)
-    b = sdp.solve(other, opts)
-    c = sdp.solve(first, opts)
+    a = sdp.solve(first)
+    b = sdp.solve(other)
+    c = sdp.solve(first)
     assert a.status == b.status == c.status == "optimal"
     assert _solution_bytes(a) == _solution_bytes(c)
     assert (a.iterations, a.best_iteration) == (c.iterations, c.best_iteration)
@@ -470,7 +561,7 @@ def test_step_to_boundary_inward_is_unbounded(case):
 def test_cell_problem_solves_to_a_verified_optimum():
     from sepball import verify
 
-    prob, _ = _cell_problem()
+    prob, kinds = _cell_problem()
     rng = _rng(15)
     x0 = [_posdef(rng, d) for d in prob.blocks]
     cons = tuple(
@@ -479,9 +570,10 @@ def test_cell_problem_solves_to_a_verified_optimum():
     prob = sdp.SdpProblem(blocks=prob.blocks,
                           objective=tuple(_posdef(rng, d) for d in prob.blocks),
                           constraints=cons)
-    with pytest.warns(UserWarning, match="dropped 1 linearly dependent"):
-        sol = sdp.solve(prob)  # the second row for a filled slot
+    sol = sdp.solve(prob)
     assert sol.status == "optimal"
+    dropped = [i for i, kind in enumerate(kinds) if kind is None]
+    assert sol.message == f"dropped 1 linearly dependent constraint rows: {dropped}"
     assert 1 <= sol.best_iteration <= sol.iterations
     assert len(sol.dual_y) == prob.num_constraints
     checks = verify.sdp_solution(prob, sol)
@@ -495,7 +587,7 @@ def test_best_iteration_names_the_returned_iterate(monkeypatch):
     prob = sdp.SdpProblem(
         blocks=(2,), objective=(np.diag([1.0, 2.0]),),
         constraints=((0.0, (np.diag([1.0, 0.0]),)), (1.0, (np.eye(2),))))
-    sol = sdp.solve(prob, sdp.SdpOptions(gap_tol=0.0))
+    sol = sdp.solve(prob, gap_tol=0.0)
     assert sol.status == "optimal" and "stalled" in sol.message
     assert sol.best_iteration == sol.iterations - 8
     assert abs(sol.primal_obj - 2.0) < 1e-7
