@@ -35,6 +35,8 @@ BATTERY = [
      "--radii", "0.3,0.34,0.4", "--samples", "4", "--verify"],
     ["gamma-scan", "--algA", "2", "--algB", "2",
      "--radii", "0.5,0.55", "--samples", "8", "--threads", "2"],
+    ["gamma-scan", "--algA", "1,2", "--algB", "2,3",
+     "--radii", "0.3,0.5,0.55", "--samples", "6", "--verify"],
     ["eta", "--algA", "2,3", "--algB", "4", "--samples", "2"],
     ["eta", "--algA", "1,1", "--algB", "3", "--samples", "2"],
     ["eta", "--rankA", "inf", "--rankB", "5"],

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 
 import numpy as np
@@ -65,7 +64,9 @@ _SHARED_FLAGS = {
     "--tol-gap": dict(type=_tolerance, default=sdp.GAP_TOL,
                       help="duality-gap target for interior-point solves"),
     "--threads": dict(type=_nonnegative_int, default=0,
-                      help="worker threads for scans (0 = logical cores)"),
+                      help="accepted and ignored: scans run in one thread; the "
+                      "flag is removed once the benchmark stops passing it "
+                      "(ROADMAP item 1)"),
     "--strict": dict(action="store_true",
                      help="exit 2 on undecided verdicts"),
     "--out": dict(default=None,
@@ -284,10 +285,9 @@ def _run_gamma_scan(args):
     alg_b = _parse_blocks(args.alg_b, "--algB")
     radii = tuple(_float_tok(tok, args.radii, "--radii")
                   for tok in args.radii.split(",") if tok)
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     rep = separability.sep_ball_scan(alg_a, alg_b, radii,
                                      samples=args.samples, seed=args.seed,
-                                     threads=threads, tol=args.tol_psd)
+                                     tol=args.tol_psd)
     checks = verify.scan(rep, args.tol_psd) if args.verify else None
     unsettled = any(r.undecided > 0 for r in rep.rows)
     return jsonio.encode_scan_report(rep), 0, unsettled, checks

@@ -114,7 +114,7 @@ def _split_shape(x: np.ndarray, dims) -> tuple[int, int]:
     n, m = int(dims[0]), int(dims[1])
     if n < 1 or m < 1:
         raise DimensionError(f"factor dimensions must be positive, got {(n, m)}")
-    if x.shape != (n * m, n * m):
+    if x.shape[-2:] != (n * m, n * m):
         raise DimensionError(
             f"matrix of shape {x.shape} does not factor as ({n}*{m}, {n}*{m})"
         )
@@ -128,16 +128,14 @@ def _check_leg(leg: str) -> str:
 
 
 def partial_transpose(x, dims, leg: str = "second") -> np.ndarray:
-    """Transpose one tensor leg of a matrix on C^n (x) C^m."""
-    a = as_matrix(x)
+    """Transpose one tensor leg of a matrix on C^n (x) C^m, or of every
+    matrix of a stack of shape (..., n*m, n*m)."""
+    a = as_matrix(x) if np.ndim(x) <= 2 else np.asarray(x, dtype=np.complex128)
     n, m = _split_shape(a, dims)
     _check_leg(leg)
-    t = a.reshape(n, m, n, m)
-    if leg == "first":
-        t = np.transpose(t, (2, 1, 0, 3))
-    else:
-        t = np.transpose(t, (0, 3, 2, 1))
-    return np.ascontiguousarray(t.reshape(n * m, n * m))
+    t = a.reshape(a.shape[:-2] + (n, m, n, m))
+    t = np.swapaxes(t, -4, -2) if leg == "first" else np.swapaxes(t, -3, -1)
+    return np.ascontiguousarray(t.reshape(a.shape))
 
 
 def partial_trace(x, dims, leg: str = "first") -> np.ndarray:

@@ -448,7 +448,14 @@ def _independent_rows(rows, b):
                             format="csr")
     v.eliminate_zeros()
     row_of = np.repeat(np.arange(p), np.diff(v.indptr))
-    norms = np.sqrt(np.bincount(row_of, v.data ** 2, minlength=p))
+    # Each row's sum of squares is taken on the row scaled by a power of
+    # two near its largest entry, so it cannot overflow (or underflow)
+    # and a row in range keeps every bit of its norm.
+    top = np.zeros(p)
+    np.maximum.at(top, row_of, np.abs(v.data))
+    unit = np.ldexp(1.0, np.frexp(top)[1])
+    norms = unit * np.sqrt(np.bincount(row_of, (v.data / unit[row_of]) ** 2,
+                                       minlength=p))
     norms[norms == 0.0] = 1.0
     v.data /= norms[row_of]
     b = b / norms

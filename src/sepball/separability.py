@@ -19,20 +19,22 @@ optimum certifies separability only where the partial-transpose test is
 decisive, i.e. pairs of sizes 2x2 and 2x3 (and trivially when either
 block is one-dimensional); everything else stays undecided.
 
-The module also builds the extremal entangled elements just past the
-radius 1/min(rank) and scans random and directed elements at given radii
-(``sep_ball_scan``).
+One core certifies a stack of elements of one block pair with one
+stacked eigensolve per step (positivity precheck, x^G, moved elements).
+``entanglement_witness`` runs it on stacks of one; ``sep_ball_scan``,
+which scans random and directed elements at given radii, runs it once
+per block pair on all elements of a radius.  The module also builds the
+extremal entangled elements just past the radius 1/min(rank).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import algebra, matcore, maps, sampling
-from .errors import DimensionError, PositivityError
+from .errors import ConvergenceError, DimensionError, PositivityError
 
 PSD_SLACK = 1e-9
 DECISIVE_PAIRS = {(1, 1), (2, 2), (2, 3), (3, 2)}
@@ -101,105 +103,124 @@ def induced_witness_map(w: np.ndarray, n: int, m: int) -> maps.LinearMapRep:
     return maps.LinearMapRep(m, n, np.ascontiguousarray(choi))
 
 
-def _certify_pair(part, dims, pair, lam_min, scale, tol):
-    """Closed-form decomposable witness on one block pair.
+def _eigh(stack, vectors=True):
+    """Stacked Hermitian eigensolve, ascending; ``stack`` is Hermitian."""
+    try:
+        return np.linalg.eigh(stack) if vectors else np.linalg.eigvalsh(stack)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
+        raise ConvergenceError(f"Hermitian eigensolver hit its iteration limit: {exc}")
 
-    ``lam_min`` is the smallest eigenvalue of ``part`` and ``scale`` is
-    max(1, ||part||), both from the caller's positivity precheck.
+
+def _certify_stack(parts, dims, pair, tol):
+    """Closed-form decomposable witness on a stack of elements of one pair.
+
+    ``parts`` is a (B, n*m, n*m) stack of Hermitian parts of block pair
+    ``pair``.  Returns one PairReport per member and a dict from member
+    index to the WitnessData of each entangled member.  Raises
+    PositivityError if a member is not positive.
     """
     n, m = dims
-    gamma = matcore.partial_transpose(part, dims, "second")
-    g_evals, g_vecs = matcore.eig_hermitian(gamma)
-    ppt_margin = float(g_evals[0])
-    value = min(lam_min, ppt_margin)
+    evals = _eigh(parts, vectors=False)
+    lam_min = evals[:, 0]
+    scale = np.maximum(1.0, np.maximum(np.abs(lam_min), np.abs(evals[:, -1])))
+    bad = np.flatnonzero(lam_min < -tol * scale)
+    if len(bad):
+        raise PositivityError(
+            f"block pair ({pair[0]},{pair[1]}) has eigenvalue "
+            f"{lam_min[bad[0]]:.3e}; the witness test needs a positive element")
+    g_evals, g_vecs = _eigh(matcore.partial_transpose(parts, dims, "second"))
+    margins = g_evals[:, 0]
+    values = np.minimum(lam_min, margins)
 
-    if n == 1 or m == 1:
-        # One leg is scalar: every positive element is a product.
-        decomp = [(np.ones((1, 1), dtype=np.complex128), part.copy())] \
-            if n == 1 else [(part.copy(), np.ones((1, 1), dtype=np.complex128))]
-        report = PairReport(pair, dims, "separable-certified",
-                            witness_value=value, ppt_margin=ppt_margin,
-                            message="scalar leg, element is a product")
-        return report, None, decomp
-
-    if value < -tol * scale:
+    scalar_leg = n == 1 or m == 1
+    if scalar_leg:
+        # Every positive element is a product.
+        verdict = ("separable-certified", "scalar leg, element is a product")
+    elif (n, m) in DECISIVE_PAIRS:
+        verdict = ("separable-certified",
+                   "partial transpose decisive at these sizes")
+    else:
+        verdict = ("undecided",
+                   "no decomposable witness; sizes beyond the decisive range")
+    verdicts = [verdict] * len(parts)
+    witnesses = {}
+    negative = [] if scalar_leg else np.flatnonzero(values < -tol * scale)
+    if len(negative):
         # lam_min passed the precheck, so the optimum is lambda_min(x^G),
         # attained by C_2 = |v><v|: W = (|v><v|)^G has trace one.
-        v = g_vecs[:, 0]
-        w = matcore.partial_transpose(np.outer(v, v.conj()), dims, "second")
-        phi = induced_witness_map(w, n, m)
-        moved = maps.apply_to_second_leg(phi, part, n)
-        evals, evecs = matcore.eig_hermitian(moved)
-        violation = float(evals[0])
-        if violation < -tol * scale:
-            data = WitnessData(pair=pair, map=phi, vector=evecs[:, 0],
-                               violation=violation, witness_matrix=w)
-            report = PairReport(pair, dims, "entangled-certified",
-                                witness_value=value, ppt_margin=ppt_margin)
-            return report, data, None
-        report = PairReport(pair, dims, "undecided", witness_value=value,
-                            ppt_margin=ppt_margin,
-                            message="witness optimum negative but the moved "
-                                    "element stayed positive within tolerance")
-        return report, None, None
+        found, moved = [], []
+        for i in negative:
+            v = g_vecs[i, :, 0]
+            w = matcore.partial_transpose(np.outer(v, v.conj()), dims, "second")
+            phi = induced_witness_map(w, n, m)
+            found.append((w, phi))
+            moved.append(matcore.check_hermitian(
+                maps.apply_to_second_leg(phi, parts[i], n)))
+        m_evals, m_vecs = _eigh(np.array(moved))
+        for (w, phi), i, violation, vector in zip(
+                found, negative, m_evals[:, 0], m_vecs[:, :, 0]):
+            if violation < -tol * scale[i]:
+                witnesses[i] = WitnessData(
+                    pair=pair, map=phi, vector=vector,
+                    violation=float(violation), witness_matrix=w)
+                verdicts[i] = ("entangled-certified", "")
+            else:
+                verdicts[i] = ("undecided",
+                               "witness optimum negative but the moved "
+                               "element stayed positive within tolerance")
+    reports = [PairReport(pair, dims, status, witness_value=float(value),
+                          ppt_margin=float(margin), message=message)
+               for (status, message), value, margin
+               in zip(verdicts, values, margins)]
+    return reports, witnesses
 
-    if (n, m) in DECISIVE_PAIRS:
-        report = PairReport(pair, dims, "separable-certified",
-                            witness_value=value, ppt_margin=ppt_margin,
-                            message="partial transpose decisive at these sizes")
-        return report, None, []
-    report = PairReport(pair, dims, "undecided", witness_value=value,
-                        ppt_margin=ppt_margin,
-                        message="no decomposable witness; sizes beyond the "
-                                "decisive range")
-    return report, None, None
+
+def _combined_status(statuses) -> str:
+    """The verdict on an element from the verdicts on its block pairs."""
+    if "entangled-certified" in statuses:
+        return "entangled-certified"
+    if all(s == "separable-certified" for s in statuses):
+        return "separable-certified"
+    return "undecided"
+
+
+def _product_factors(part, dims):
+    """Decomposition of a separable pair: the element itself when one leg
+    is scalar, else none given."""
+    one = np.ones((1, 1), dtype=np.complex128)
+    if dims[0] == 1:
+        return [(one, part.copy())]
+    if dims[1] == 1:
+        return [(part.copy(), one)]
+    return []
 
 
 def entanglement_witness(x: algebra.BipartiteElement,
                          tol: float = PSD_SLACK) -> SepVerdict:
     """Certify entanglement or separability of a positive element."""
     x = x.hermitized()
-    spectra = []
+    reports, witness = [], None
     for (k, l) in x.pairs():
-        evals = matcore.eigvals_hermitian(x.part(k, l))
-        lam_min = float(evals[0])
-        scale = max(1.0, abs(lam_min), abs(float(evals[-1])))
-        if lam_min < -tol * scale:
-            raise PositivityError(
-                f"block pair ({k},{l}) has eigenvalue {lam_min:.3e}; "
-                "the witness test needs a positive element"
-            )
-        spectra.append((lam_min, scale))
-
-    reports = []
-    witness = None
-    decomposition = []
-    have_decomposition = True
-    for (k, l), (lam_min, scale) in zip(x.pairs(), spectra):
-        report, data, decomp = _certify_pair(
-            x.part(k, l), x.pair_dims(k, l), (k, l), lam_min, scale, tol)
+        (report,), found = _certify_stack(
+            x.part(k, l)[None], x.pair_dims(k, l), (k, l), tol)
         reports.append(report)
-        if data is not None and witness is None:
-            witness = data
-        if decomp is None:
-            have_decomposition = False
-        else:
-            decomposition.append(((k, l), decomp))
+        if witness is None:
+            witness = found.get(0)
 
-    statuses = [r.status for r in reports]
-    if "entangled-certified" in statuses:
+    status = _combined_status([r.status for r in reports])
+    if status == "entangled-certified":
         margin = min(r.witness_value for r in reports
                      if r.status == "entangled-certified")
-        return SepVerdict(status="entangled-certified", margin=margin,
-                          witness=witness, pair_reports=tuple(reports))
-    if all(s == "separable-certified" for s in statuses):
-        margin = min(r.ppt_margin for r in reports)
-        return SepVerdict(status="separable-certified", margin=margin,
-                          decomposition=decomposition if have_decomposition
-                          else None,
+        return SepVerdict(status=status, margin=margin, witness=witness,
                           pair_reports=tuple(reports))
     margin = min(r.ppt_margin for r in reports)
-    return SepVerdict(status="undecided", margin=margin,
+    if status == "separable-certified":
+        decomposition = [(r.pair, _product_factors(x.part(*r.pair), r.dims))
+                         for r in reports]
+        return SepVerdict(status=status, margin=margin,
+                          decomposition=decomposition,
+                          pair_reports=tuple(reports))
+    return SepVerdict(status=status, margin=margin,
                       pair_reports=tuple(reports))
 
 
@@ -271,15 +292,24 @@ def _max_rank_pair(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra):
     return k, l
 
 
+def _gue_stacks(alg_a, alg_b, radius, rngs):
+    """Per block pair, the stack of one GUE part per generator in ``rngs``,
+    each element (one member across all pairs) scaled to norm ``radius``.
+
+    Every generator draws its element's parts in pair order."""
+    sizes = [alg_a.blocks[k] * alg_b.blocks[l]
+             for k in range(len(alg_a.blocks))
+             for l in range(len(alg_b.blocks))]
+    draws = [[sampling.gue(rng, d) for d in sizes] for rng in rngs]
+    stacks = [np.array([parts[j] for parts in draws]).reshape(-1, d, d)
+              for j, d in enumerate(sizes)]
+    top = np.max([np.linalg.norm(s, 2, axis=(1, 2)) for s in stacks], axis=0)
+    return [s * (radius / top)[:, None, None] for s in stacks]
+
+
 def _gue_element(alg_a, alg_b, radius, rng) -> algebra.BipartiteElement:
-    parts = []
-    for k in range(len(alg_a.blocks)):
-        for l in range(len(alg_b.blocks)):
-            d = alg_a.blocks[k] * alg_b.blocks[l]
-            parts.append(sampling.gue(rng, d))
-    top = max(matcore.operator_norm(p) for p in parts)
-    parts = tuple(p * (radius / top) for p in parts)
-    return algebra.BipartiteElement(alg_a, alg_b, parts)
+    stacks = _gue_stacks(alg_a, alg_b, radius, [rng])
+    return algebra.BipartiteElement(alg_a, alg_b, tuple(s[0] for s in stacks))
 
 
 def _directed_element(alg_a, alg_b, radius) -> algebra.BipartiteElement:
@@ -300,15 +330,16 @@ def _directed_element(alg_a, alg_b, radius) -> algebra.BipartiteElement:
 
 def sep_ball_scan(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
                   radii, samples: int = 50, seed: int = 0,
-                  threads: int = 1, tol: float = PSD_SLACK) -> ScanReport:
+                  tol: float = PSD_SLACK) -> ScanReport:
     """Verdict counts for identity-minus-perturbation elements.
 
     Per radius r the scan draws ``samples`` GUE perturbations normalized
     to norm exactly r, always appends the directed swap perturbation so
     the entangled onset past the separable radius is never missed, and
     tabulates verdicts of 1 (x) 1 - x.  Sample streams are derived from
-    (seed, radius index, sample index), so thread count never changes
-    the outcome.
+    (seed, radius index, sample index).  The elements of one radius are
+    certified together, one stack per block pair, with the same verdicts
+    as ``entanglement_witness`` gives them one by one.
     """
     radii = tuple(float(r) for r in radii)
     if not radii:
@@ -319,24 +350,22 @@ def sep_ball_scan(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
     if samples < 0:
         raise DimensionError(f"samples must be nonnegative, got {samples}")
 
-    def one_sample(ri: int, s: int):
-        rng = sampling.rng_from(0x5CA9, seed, ri, s)
-        x = _gue_element(alg_a, alg_b, radii[ri], rng)
-        return entanglement_witness(algebra.identity_minus(x), tol=tol).status
-
     rows = []
     onset = None
     for ri, r in enumerate(radii):
-        jobs = [(ri, s) for s in range(samples)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                statuses = list(pool.map(lambda j: one_sample(*j), jobs))
-        else:
-            statuses = [one_sample(*j) for j in jobs]
-        directed = entanglement_witness(
-            algebra.identity_minus(_directed_element(alg_a, alg_b, r)),
-            tol=tol).status
-        statuses.append(directed)
+        rngs = [sampling.rng_from(0x5CA9, seed, ri, s) for s in range(samples)]
+        stacks = _gue_stacks(alg_a, alg_b, r, rngs)
+        directed = algebra.identity_minus(_directed_element(alg_a, alg_b, r))
+        by_pair = []
+        for (k, l), stack, last in zip(directed.pairs(), stacks,
+                                       directed.parts):
+            eye = np.eye(len(last), dtype=np.complex128)
+            parts = np.concatenate([eye - stack, last[None]])
+            parts = (parts + parts.conj().transpose(0, 2, 1)) / 2.0
+            reports, _ = _certify_stack(parts, directed.pair_dims(k, l),
+                                        (k, l), tol)
+            by_pair.append([rep.status for rep in reports])
+        statuses = [_combined_status(col) for col in zip(*by_pair)]
         counts = {s: statuses.count(s) for s in (
             "separable-certified", "entangled-certified", "undecided")}
         rows.append(ScanRow(
@@ -344,7 +373,7 @@ def sep_ball_scan(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
             separable=counts["separable-certified"],
             entangled=counts["entangled-certified"],
             undecided=counts["undecided"],
-            directed_status=directed,
+            directed_status=statuses[-1],
         ))
         if counts["entangled-certified"] > 0 and onset is None:
             onset = r

@@ -3,8 +3,9 @@
 No command needs these: the level-k amplification of a map as a map of
 its own, the hat functional, the dilation of a contraction, the block
 identity and norm of a bipartite element, random map ensembles, the
-majorizing-pair program with explicit slack blocks, and the dependent-row
-check as one dense pivoted QR of all rows.  The tests keep them
+majorizing-pair program with explicit slack blocks, the dependent-row
+check as one dense pivoted QR of all rows, and the witness and ball scan
+one sample and one eigendecomposition at a time.  The tests keep them
 here, with the same code and seeds as before they left the package, so
 that their numbers do not change.
 """
@@ -15,8 +16,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from sepball import algebra, maps, matcore, sdp
-from sepball.errors import DimensionError
+from sepball import algebra, maps, matcore, sampling, sdp, separability
+from sepball.errors import DimensionError, PositivityError
+from sepball.separability import (DECISIVE_PAIRS, PSD_SLACK, PairReport,
+                                  ScanReport, ScanRow, SepVerdict,
+                                  WitnessData, induced_witness_map)
 from sepball.sampling import complex_gaussian, gue
 
 
@@ -222,3 +226,151 @@ def dense_independent_rows(rows, b):
                 inconsistent = i
                 break
     return keep, dropped, inconsistent
+
+
+def certify_pair(part, dims, pair, lam_min, scale, tol):
+    """Closed-form decomposable witness on one block pair.
+
+    ``lam_min`` is the smallest eigenvalue of ``part`` and ``scale`` is
+    max(1, ||part||), both from the caller's positivity precheck.
+    """
+    n, m = dims
+    gamma = matcore.partial_transpose(part, dims, "second")
+    g_evals, g_vecs = matcore.eig_hermitian(gamma)
+    ppt_margin = float(g_evals[0])
+    value = min(lam_min, ppt_margin)
+
+    if n == 1 or m == 1:
+        # One leg is scalar: every positive element is a product.
+        decomp = [(np.ones((1, 1), dtype=np.complex128), part.copy())] \
+            if n == 1 else [(part.copy(), np.ones((1, 1), dtype=np.complex128))]
+        report = PairReport(pair, dims, "separable-certified",
+                            witness_value=value, ppt_margin=ppt_margin,
+                            message="scalar leg, element is a product")
+        return report, None, decomp
+
+    if value < -tol * scale:
+        # lam_min passed the precheck, so the optimum is lambda_min(x^G),
+        # attained by C_2 = |v><v|: W = (|v><v|)^G has trace one.
+        v = g_vecs[:, 0]
+        w = matcore.partial_transpose(np.outer(v, v.conj()), dims, "second")
+        phi = induced_witness_map(w, n, m)
+        moved = maps.apply_to_second_leg(phi, part, n)
+        evals, evecs = matcore.eig_hermitian(moved)
+        violation = float(evals[0])
+        if violation < -tol * scale:
+            data = WitnessData(pair=pair, map=phi, vector=evecs[:, 0],
+                               violation=violation, witness_matrix=w)
+            report = PairReport(pair, dims, "entangled-certified",
+                                witness_value=value, ppt_margin=ppt_margin)
+            return report, data, None
+        report = PairReport(pair, dims, "undecided", witness_value=value,
+                            ppt_margin=ppt_margin,
+                            message="witness optimum negative but the moved "
+                                    "element stayed positive within tolerance")
+        return report, None, None
+
+    if (n, m) in DECISIVE_PAIRS:
+        report = PairReport(pair, dims, "separable-certified",
+                            witness_value=value, ppt_margin=ppt_margin,
+                            message="partial transpose decisive at these sizes")
+        return report, None, []
+    report = PairReport(pair, dims, "undecided", witness_value=value,
+                        ppt_margin=ppt_margin,
+                        message="no decomposable witness; sizes beyond the "
+                                "decisive range")
+    return report, None, None
+
+
+def entanglement_witness(x: algebra.BipartiteElement,
+                         tol: float = PSD_SLACK) -> SepVerdict:
+    """Certify entanglement or separability of a positive element."""
+    x = x.hermitized()
+    spectra = []
+    for (k, l) in x.pairs():
+        evals = matcore.eigvals_hermitian(x.part(k, l))
+        lam_min = float(evals[0])
+        scale = max(1.0, abs(lam_min), abs(float(evals[-1])))
+        if lam_min < -tol * scale:
+            raise PositivityError(
+                f"block pair ({k},{l}) has eigenvalue {lam_min:.3e}; "
+                "the witness test needs a positive element"
+            )
+        spectra.append((lam_min, scale))
+
+    reports = []
+    witness = None
+    decomposition = []
+    have_decomposition = True
+    for (k, l), (lam_min, scale) in zip(x.pairs(), spectra):
+        report, data, decomp = certify_pair(
+            x.part(k, l), x.pair_dims(k, l), (k, l), lam_min, scale, tol)
+        reports.append(report)
+        if data is not None and witness is None:
+            witness = data
+        if decomp is None:
+            have_decomposition = False
+        else:
+            decomposition.append(((k, l), decomp))
+
+    statuses = [r.status for r in reports]
+    if "entangled-certified" in statuses:
+        margin = min(r.witness_value for r in reports
+                     if r.status == "entangled-certified")
+        return SepVerdict(status="entangled-certified", margin=margin,
+                          witness=witness, pair_reports=tuple(reports))
+    if all(s == "separable-certified" for s in statuses):
+        margin = min(r.ppt_margin for r in reports)
+        return SepVerdict(status="separable-certified", margin=margin,
+                          decomposition=decomposition if have_decomposition
+                          else None,
+                          pair_reports=tuple(reports))
+    margin = min(r.ppt_margin for r in reports)
+    return SepVerdict(status="undecided", margin=margin,
+                      pair_reports=tuple(reports))
+
+
+def gue_element(alg_a, alg_b, radius, rng) -> algebra.BipartiteElement:
+    parts = []
+    for k in range(len(alg_a.blocks)):
+        for l in range(len(alg_b.blocks)):
+            d = alg_a.blocks[k] * alg_b.blocks[l]
+            parts.append(sampling.gue(rng, d))
+    top = max(matcore.operator_norm(p) for p in parts)
+    parts = tuple(p * (radius / top) for p in parts)
+    return algebra.BipartiteElement(alg_a, alg_b, parts)
+
+
+def sep_ball_scan(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
+                  radii, samples: int = 50, seed: int = 0,
+                  tol: float = PSD_SLACK) -> ScanReport:
+    """``separability.sep_ball_scan`` one sample at a time."""
+    radii = tuple(float(r) for r in radii)
+
+    def one_sample(ri: int, s: int):
+        rng = sampling.rng_from(0x5CA9, seed, ri, s)
+        x = gue_element(alg_a, alg_b, radii[ri], rng)
+        return entanglement_witness(algebra.identity_minus(x), tol=tol).status
+
+    rows = []
+    onset = None
+    for ri, r in enumerate(radii):
+        statuses = [one_sample(ri, s) for s in range(samples)]
+        directed = entanglement_witness(
+            algebra.identity_minus(
+                separability._directed_element(alg_a, alg_b, r)),
+            tol=tol).status
+        statuses.append(directed)
+        counts = {s: statuses.count(s) for s in (
+            "separable-certified", "entangled-certified", "undecided")}
+        rows.append(ScanRow(
+            radius=r,
+            separable=counts["separable-certified"],
+            entangled=counts["entangled-certified"],
+            undecided=counts["undecided"],
+            directed_status=directed,
+        ))
+        if counts["entangled-certified"] > 0 and onset is None:
+            onset = r
+    return ScanReport(alg_a=alg_a, alg_b=alg_b, radii=radii, samples=samples,
+                      seed=seed, rows=tuple(rows), onset=onset)

@@ -591,3 +591,19 @@ def test_best_iteration_names_the_returned_iterate(monkeypatch):
     assert sol.status == "optimal" and "stalled" in sol.message
     assert sol.best_iteration == sol.iterations - 8
     assert abs(sol.primal_obj - 2.0) < 1e-7
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160])
+def test_huge_row_is_kept(scale):
+    # X_00 = 1 and Tr X = 1: a row whose sum of squares overflows must not
+    # read as zero and be dropped as dependent
+    prob = sdp.SdpProblem(
+        blocks=(2,), objective=(np.diag([2.0, 1.0]),),
+        constraints=((scale, (np.diag([scale, 0.0]),)), (1.0, (np.eye(2),))))
+    keep, dropped, inconsistent = sdp._independent_rows(prob.rows, prob.rhs)
+    assert keep.tolist() == [0, 1] and dropped == [] and inconsistent is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = sdp.solve(prob)
+    assert sol.status == "optimal" and sol.message == ""
+    assert abs(sol.primal_obj - 2.0) < 1e-7
+    assert abs(sol.primal[0][0, 0] - 1.0) < 1e-7

@@ -279,12 +279,71 @@ def test_scan_counts_and_onset():
     assert report.onset == 0.6
 
 
-def test_scan_thread_count_is_immaterial():
-    kw = dict(radii=(0.45, 0.55), samples=4, seed=1)
-    a = separability.sep_ball_scan(M2, M2, threads=1, **kw)
-    b = separability.sep_ball_scan(M2, M2, threads=4, **kw)
-    assert a.rows == b.rows
-    assert a.onset == b.onset
+ORACLE_ALGEBRAS = [((2, 3), (3, 4)), ((1, 2), (2, 3)), ((2,), (2,)),
+                   ((3,), (3,)), ((4,), (1, 4))]
+
+
+@pytest.mark.parametrize("blocks_a,blocks_b", ORACLE_ALGEBRAS)
+def test_batched_scan_matches_per_sample_oracle(blocks_a, blocks_b):
+    # radii inside, at and past 1/min(rank), and at 1 where random
+    # samples are entangled too; same draws, so the same rows
+    alg_a, alg_b = algebra.FdAlgebra(blocks_a), algebra.FdAlgebra(blocks_b)
+    k = min(alg_a.rank, alg_b.rank)
+    radii = (0.9 / k, 1.0 / k, 1.1 / k, 1.0)
+    for seed in range(50):
+        got = separability.sep_ball_scan(alg_a, alg_b, radii, samples=3,
+                                         seed=seed)
+        want = oracles.sep_ball_scan(alg_a, alg_b, radii, samples=3,
+                                     seed=seed)
+        assert got.rows == want.rows, seed
+        assert got.onset == want.onset, seed
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("blocks_a,blocks_b", ORACLE_ALGEBRAS)
+def test_batched_witness_matches_per_sample_oracle(blocks_a, blocks_b):
+    alg_a, alg_b = algebra.FdAlgebra(blocks_a), algebra.FdAlgebra(blocks_b)
+    k = min(alg_a.rank, alg_b.rank)
+    elements = [separability.extremal_direction(alg_a, alg_b, 0.05)]
+    for r in (0.5 / k, 1.0 / k, 1.2 / k, 1.0):
+        elements.append(algebra.identity_minus(
+            separability._directed_element(alg_a, alg_b, r)))
+        for seed in range(4):
+            rng = sampling.rng_from(0xE1E, seed)
+            elements.append(algebra.identity_minus(
+                separability._gue_element(alg_a, alg_b, r, rng)))
+    statuses = set()
+    for x in elements:
+        got = separability.entanglement_witness(x)
+        want = oracles.entanglement_witness(x)
+        statuses.add(got.status)
+        assert got.status == want.status
+        assert _close(got.margin, want.margin)
+        for g, w in zip(got.pair_reports, want.pair_reports, strict=True):
+            assert (g.pair, g.dims, g.status, g.message) == \
+                (w.pair, w.dims, w.status, w.message)
+            assert _close(g.witness_value, w.witness_value)
+            assert _close(g.ppt_margin, w.ppt_margin)
+        if want.witness is not None:
+            assert got.witness.pair == want.witness.pair
+            assert _close(got.witness.violation, want.witness.violation)
+        assert (got.decomposition is None) == (want.decomposition is None)
+        for (gp, gf), (wp, wf) in zip(got.decomposition or [],
+                                      want.decomposition or [], strict=True):
+            assert gp == wp and len(gf) == len(wf)
+            assert all(np.array_equal(g, w) for gab, wab in zip(gf, wf)
+                       for g, w in zip(gab, wab))
+        assert all(c.passed for c in verify.verdict(x, got))
+    assert "entangled-certified" in statuses
+    # a GUE draw of norm 1/2 is not positive
+    x = separability._gue_element(alg_a, alg_b, 0.5, _rng(0))
+    with pytest.raises(PositivityError):
+        oracles.entanglement_witness(x)
+    with pytest.raises(PositivityError):
+        separability.entanglement_witness(x)
 
 
 def test_scan_no_onset_inside_ball():
