@@ -135,6 +135,11 @@ def test_partial_transpose_involution_and_composition(seed):
         matcore.partial_transpose(pt2, (2, 3), "second"), x)
     both = matcore.partial_transpose(pt2, (2, 3), "first")
     nptest.assert_allclose(both, x.T)
+    # a stack is transposed matrix by matrix
+    for leg in ("first", "second"):
+        nptest.assert_array_equal(
+            matcore.partial_transpose(np.array([x, pt2]), (2, 3), leg),
+            [matcore.partial_transpose(m, (2, 3), leg) for m in (x, pt2)])
 
 
 @given(st.integers(0, 200))
