@@ -24,6 +24,7 @@ BATTERY = [
     ["cbnorm", "--map", "reduction:2"],
     ["cbnorm", "--map", "reduction:3", "--verify"],
     ["cbnorm", "--map", "reduction:4", "--verify"],
+    ["cbnorm", "--map", "reduction:5", "--verify"],
     ["cbnorm", "--map", "transpose:3", "--verify"],
     ["cbnorm", "--map", "transpose:6", "--verify"],
     ["sep-check", "--element", "id_minus:swap:0.5", "--dims", "2x2", "--verify"],
@@ -59,7 +60,8 @@ def _write_problem(path: Path) -> None:
 
 def _write_cb_problem(path: Path) -> None:
     """The majorizing-pair program of a fixed general map M_2 -> M_3
-    (p = 90): all its rows are cell slots, and each owns an entry."""
+    (p = 89): 72 cell slots and 17 dense rows, and each row owns an
+    entry."""
     rng = np.random.default_rng(0x23)
     choi = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     prob = cbnorm._upper_problem(maps.LinearMapRep(2, 3, choi))

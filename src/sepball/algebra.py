@@ -84,12 +84,16 @@ class BipartiteElement:
         return self.parts[k * len(self.alg_b.blocks) + l]
 
     def hermitized(self) -> "BipartiteElement":
-        """The Hermitian part (p + p*)/2 of every component."""
-        return BipartiteElement(
-            self.alg_a,
-            self.alg_b,
-            tuple((p + p.conj().T) / 2.0 for p in self.parts),
-        )
+        """The Hermitian part (p + p*)/2 of every component; a
+        ``DimensionError`` where it overflows the float range."""
+        parts = []
+        for (k, l), p in zip(self.pairs(), self.parts):
+            h = (p + p.conj().T) / 2.0
+            if not np.isfinite(h).all():
+                raise DimensionError(f"part ({k},{l}): its Hermitian part "
+                                     "overflows the float range")
+            parts.append(h)
+        return BipartiteElement(self.alg_a, self.alg_b, tuple(parts))
 
 
 def assemble(alg_a: FdAlgebra, alg_b: FdAlgebra, pieces) -> BipartiteElement:

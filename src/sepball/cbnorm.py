@@ -8,8 +8,9 @@ phi_1, phi_2 with unit images of norm at most t such that
 
 Any such pair certifies ||psi||_cb <= sqrt(||phi_1|| ||phi_2||) <= t, and
 the optimal t never exceeds min(dim_in, dim_out) * ||psi||.  The program
-has two blocks: Y = [[Y_11, Choi(psi)], [Choi(psi)*, Y_22]] >= 0 and t,
-with Tr_1 Y_jj = t 1.  (Asking only Tr_1 Y_jj <= t 1 gives the same
+has one block, Y = [[Y_11, Choi(psi)], [Choi(psi)*, Y_22]] >= 0 with
+Tr_1 Y_11 = Tr_1 Y_22 = t 1, and minimizes Tr Y = 2 dim_out t, so t is
+no separate variable.  (Asking only Tr_1 Y_jj <= t 1 gives the same
 optimum: adding 1/n (x) rho_j to Y_jj closes the gap rho_j.)  The
 reported upper bound is the pair bound of phi_j = Y_jj, after the
 solver's pair is shifted just enough to make its block matrix positive
@@ -20,8 +21,8 @@ default the contraction is read off the dual slack of the same program,
 
     Z = [[ 1_n (x) rho_1, X ], [ X*, 1_n (x) rho_2 ]]  >=  0,
 
-where rho_j is minus the combination of the Hermitian basis that the
-dual weights of the rows Tr_1 Y_jj = t 1 make (the rho_0/rho_1 form of
+where 1_n (x) rho_j is the identity minus the combination of the rows
+on Y_jj that their dual weights make (the rho_0/rho_1 form of
 Watrous, "Simpler semidefinite programs for completely bounded norms",
 CJTCS 2013): the contraction Z_11^{-1/2} X Z_22^{-1/2}, reshuffled,
 attains the cb norm at level k = dim_out, so the sandwich closes to
@@ -97,47 +98,45 @@ class CbNormResult:
 def _upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
     """The majorizing-pair program for psi, its rows written as entries.
 
-    Blocks are Y = [[Y_11, B], [B*, Y_22]] and t.  Rows 2k and 2k + 1
-    (k = u q + w) fix the real and imaginary parts of entry (u, w) of Y's
-    off-diagonal block to those of B = Choi(psi).  The last 2 m^2 rows
-    set <1_n (x) h, Y_jj> = Tr(h) t for h in ``sdp.hermitian_basis(m)``,
-    that is Tr_1 Y_jj = t 1.
+    One block Y = [[Y_11, B], [B*, Y_22]] of size 2q (q = nm) and
+    objective Tr Y.  Rows 2k and 2k + 1 (k = u q + w) fix the real and
+    imaginary parts of entry (u, w) of Y's off-diagonal block to those of
+    B = Choi(psi).  The next m^2 rows set <1_n (x) h, Y_11 - Y_22> = 0 for
+    h in ``sdp.hermitian_basis(m)``, that is Tr_1 Y_11 = Tr_1 Y_22; the
+    last m^2 - 1 rows set <1_n (x) h, Y_11> = 0 for the traceless h
+    E_kk - E_{m-1,m-1} (k < m - 1) and the basis's off-diagonal elements,
+    that is Tr_1 Y_11 = t 1 for some t.  Then Tr Y = 2 m t, and the
+    identity start of ``sdp.solve`` is dual feasible.
     """
     n, m = psi.dim_in, psi.dim_out
     q = n * m
     big = 2 * q
-    blocks = (big, 1)
     p_pair = 2 * q * q
-    entries = [[] for _ in blocks]  # (row, flat index, value) per block
 
     k = np.arange(q * q)
     u, w = np.divmod(k, q)
     upper, lower = u * big + q + w, (q + w) * big + u  # (u, q+w), (q+w, u)
     one = np.ones(q * q, dtype=np.complex128)
-    entries[0] += [(2 * k, upper, one), (2 * k, lower, one),
-                   (2 * k + 1, upper, 1j * one), (2 * k + 1, lower, -1j * one)]
+    entries = [(2 * k, upper, one), (2 * k, lower, one),
+               (2 * k + 1, upper, 1j * one), (2 * k + 1, lower, -1j * one)]
 
     basis = np.array(sdp.hermitian_basis(m))  # E_kk (trace 1) come first
-    t, a, c = np.nonzero(basis)
-    v = basis[t, a, c]
-    for j in (0, 1):
-        row = p_pair + j * m * m + t
+    traceless = np.concatenate([basis[:m - 1] - basis[m - 1], basis[m:]])
+    # (first row, matrices h, offset of Y_jj, sign) of <1_n (x) h, Y_jj>
+    for first, hs, off, sign in ((p_pair, basis, 0, 1), (p_pair, basis, q, -1),
+                                 (p_pair + m * m, traceless, 0, 1)):
+        t, a, c = np.nonzero(hs)
         for i in range(n):
-            off = j * q + i * m
-            entries[0].append((row, (off + a) * big + off + c, v))
-        diag = p_pair + j * m * m + np.arange(m)
-        entries[1].append((diag, 0 * diag, np.full(m, -1 + 0j)))
+            o = off + i * m
+            entries.append((first + t, (o + a) * big + o + c,
+                            sign * hs[t, a, c]))
 
-    p = p_pair + 2 * m * m
-    rows = []
-    for parts, d in zip(entries, blocks):
-        r, col, val = (np.concatenate(x) for x in zip(*parts))
-        rows.append(scipy.sparse.csr_matrix((val, (r, col)),
-                                            shape=(p, d * d)))
+    p = p_pair + 2 * m * m - 1
+    r, col, val = (np.concatenate(x) for x in zip(*entries))
+    rows = scipy.sparse.csr_matrix((val, (r, col)), shape=(p, big * big))
     rhs = np.zeros(p)
     rhs[:p_pair] = 2.0 * psi.choi.ravel().view(np.float64)  # re, im, ...
-    objective = [np.zeros((big, big)), np.ones((1, 1))]
-    return sdp.SdpProblem.from_rows(blocks, objective, rhs, rows)
+    return sdp.SdpProblem.from_rows((big,), [np.eye(big)], rhs, (rows,))
 
 
 def _certified_pair(psi: maps.LinearMapRep, sol: sdp.SdpSolution,

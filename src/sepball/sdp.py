@@ -25,10 +25,11 @@ Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), so that square of
 the Schur matrix costs O(1) per entry and needs no stacks; it is zero
 across blocks.  Every other row is dense: it is expanded to its (d, d)
 matrices, pays O(d^3) per block for W A_j W, and meets the other dense
-rows in one sparse product.  The Schur matrix, its Cholesky factor and
-the kernel's workspace are allocated once per solve and refilled in
-place in every iteration.  A problem without entrywise rows runs exactly
-the dense arithmetic.
+rows in one sparse product.  The Schur matrix and the kernel's workspace
+are allocated once per solve and refilled in place in every iteration;
+the Cholesky factorization overwrites the Schur matrix, so a solve keeps
+one p x p array.  A problem without entrywise rows runs exactly the
+dense arithmetic.
 
 The search direction is the Nesterov-Todd one with a Mehrotra
 predictor-corrector, formed in the scaled frame of Todd, Toh and
@@ -184,14 +185,15 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
 
 
 class _Compiled:
-    """Constraint data in the solver's row order, and the Schur buffers.
+    """Constraint data in the solver's row order, and the Schur buffer.
 
     Dependent rows are dropped (``_independent_rows``) and the rest sorted
     once (see ``_entrywise_cells`` and ``_Cells``): per block the slots of
     its cells, then the dense rows in problem order; ``keep[i]`` is the
     problem row of row i.  Only the dense rows get a (p_dense, d, d)
-    stack.  The p x p Schur and factor buffers and the kernel's workspace
-    are allocated here, once per solve, and refilled in every iteration.
+    stack.  The p x p Schur buffer, which also takes its Cholesky factor,
+    and the kernel's workspace are allocated here, once per solve, and
+    refilled in every iteration.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -239,7 +241,6 @@ class _Compiled:
         self.norm_c = float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in self.C)))
 
         self.m = np.zeros((self.p, self.p))
-        self.factor_buf = np.empty((self.p, self.p))
         chunk = max((c.step * c.n for c in self.cells.values()), default=0)
         self.work = [np.empty(chunk, dtype=np.complex128) for _ in range(3)]
 
@@ -263,7 +264,9 @@ class _Compiled:
         block's square of cell rows comes from entries of W
         (``_cell_schur``), and its cell rows meet the dense rows j in
         entries of W A_j W (``_dense_cross``); cell rows of two blocks
-        meet in zeros, which are never overwritten.  Only the square of
+        meet in zeros, which are never written.  They stay zero after a
+        factorization in place: cell rows come before the dense rows, so
+        the Cholesky factor is exactly zero there too.  Only the square of
         dense rows is averaged with its transpose.
         """
         m, pc = self.m, self.p_cells
@@ -618,7 +621,7 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL) -> SdpSolution:
         # min and max carry any nan or inf, with no p x p temporary
         _require_finite(it, "the Schur complement",
                         (m.min(initial=0.0), m.max(initial=0.0)))
-        factor = _factor_with_retry(m, comp.factor_buf)
+        factor = _factor_with_retry(comp, ws)
         if factor is None:
             message = ("Schur complement stayed indefinite after regularization "
                        "retries; returning the best iterate")
@@ -719,23 +722,28 @@ def _expand_dual(comp, y, p_full):
     return full
 
 
-def _factor_with_retry(m, out):
-    """Cholesky factor of m + reg 1 in ``out``, for the first reg in a
-    rising ladder that works; None when none does.
+def _factor_with_retry(comp, ws):
+    """The lower Cholesky factor of M + reg 1, M = ``comp.schur(ws)``
+    (already in the Schur buffer), for the first reg in a rising ladder
+    that works; None when none does.
 
-    m is symmetric, so ``out.T``, the Fortran-ordered view that LAPACK
-    factors in place, holds the same matrix.
+    The factor overwrites the buffer's Fortran-ordered view, which holds
+    M as M is symmetric; it is returned.  A failed attempt leaves the
+    buffer partly factored, so it is refilled from W before the next one;
+    ``schur`` is deterministic, so M is bitwise the same.
     """
+    m = comp.m
     p = m.shape[0]
     base = max(1.0, float(np.trace(m)) / max(1, p))
     regs = [0.0] + [base * 10.0 ** k for k in range(-14, -5, 3)]
-    diagonal = out.reshape(-1)[::p + 1]
+    diagonal = m.reshape(-1)[::p + 1]
     for reg in regs:
-        np.copyto(out, m)
-        diagonal += reg
+        if reg:  # a retry
+            comp.schur(ws)
+            diagonal += reg
         try:
-            return scipy.linalg.cho_factor(out.T, lower=True, overwrite_a=True,
-                                           check_finite=False)
+            return scipy.linalg.cho_factor(m.T, lower=True, overwrite_a=True,
+                                           check_finite=False)[0]
         except scipy.linalg.LinAlgError:
             continue
     return None
@@ -746,8 +754,8 @@ def _solve_factored(factor, rhs, comp):
         return np.zeros(0)
     # solve() checks the result: a non-finite rhs makes it non-finite;
     # the factor is that of the Schur matrix of unit slots (``schur``)
-    return scipy.linalg.cho_solve(factor, rhs / comp.scale,
-                                  check_finite=False) / comp.scale
+    x, _ = scipy.linalg.lapack.dpotrs(factor, rhs / comp.scale, lower=1)
+    return x / comp.scale
 
 
 def _infeasibility_certificate(comp, y):

@@ -3,7 +3,8 @@
 No command needs these: the level-k amplification of a map as a map of
 its own, the hat functional, the dilation of a contraction, the block
 identity and norm of a bipartite element, random map ensembles, the
-majorizing-pair program with explicit slack blocks, the dependent-row
+majorizing-pair programs with a scalar block t and with explicit slack
+blocks, the Schur factorization into a second buffer, the dependent-row
 check as one dense pivoted QR of all rows, and the witness and ball scan
 one sample and one eigendecomposition at a time.  The tests keep them
 here, with the same code and seeds as before they left the package, so
@@ -144,6 +145,54 @@ def random_unital_channel_choi(rng: np.random.Generator, d: int, terms: int = 3)
     return choi
 
 
+def two_block_upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
+    """The majorizing-pair program for psi with a scalar block t.
+
+    Blocks are Y = [[Y_11, B], [B*, Y_22]] and t.  Rows 2k and 2k + 1
+    (k = u q + w) fix the real and imaginary parts of entry (u, w) of Y's
+    off-diagonal block to those of B = Choi(psi).  The last 2 m^2 rows
+    set <1_n (x) h, Y_jj> = Tr(h) t for h in ``sdp.hermitian_basis(m)``,
+    that is Tr_1 Y_jj = t 1, and the objective is t.  Its optimum is
+    that of ``cbnorm._upper_problem``, and its slack's first block has
+    the same form.
+    """
+    n, m = psi.dim_in, psi.dim_out
+    q = n * m
+    big = 2 * q
+    blocks = (big, 1)
+    p_pair = 2 * q * q
+    entries = [[] for _ in blocks]  # (row, flat index, value) per block
+
+    k = np.arange(q * q)
+    u, w = np.divmod(k, q)
+    upper, lower = u * big + q + w, (q + w) * big + u  # (u, q+w), (q+w, u)
+    one = np.ones(q * q, dtype=np.complex128)
+    entries[0] += [(2 * k, upper, one), (2 * k, lower, one),
+                   (2 * k + 1, upper, 1j * one), (2 * k + 1, lower, -1j * one)]
+
+    basis = np.array(sdp.hermitian_basis(m))  # E_kk (trace 1) come first
+    t, a, c = np.nonzero(basis)
+    v = basis[t, a, c]
+    for j in (0, 1):
+        row = p_pair + j * m * m + t
+        for i in range(n):
+            off = j * q + i * m
+            entries[0].append((row, (off + a) * big + off + c, v))
+        diag = p_pair + j * m * m + np.arange(m)
+        entries[1].append((diag, 0 * diag, np.full(m, -1 + 0j)))
+
+    p = p_pair + 2 * m * m
+    rows = []
+    for parts, d in zip(entries, blocks):
+        r, col, val = (np.concatenate(x) for x in zip(*parts))
+        rows.append(scipy.sparse.csr_matrix((val, (r, col)),
+                                            shape=(p, d * d)))
+    rhs = np.zeros(p)
+    rhs[:p_pair] = 2.0 * psi.choi.ravel().view(np.float64)  # re, im, ...
+    objective = [np.zeros((big, big)), np.ones((1, 1))]
+    return sdp.SdpProblem.from_rows(blocks, objective, rhs, rows)
+
+
 def four_block_upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
     """The majorizing-pair program with slack blocks rho_1, rho_2.
 
@@ -152,7 +201,7 @@ def four_block_upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
     block to those of Choi(psi).  The last 2 m^2 rows set
     <1_n (x) h, Y_jj> + <h, rho_j> = Tr(h) t for h in
     ``sdp.hermitian_basis(m)``, that is Tr_1 Y_jj + rho_j = t 1.  Its
-    optimum is that of ``cbnorm._upper_problem``, and its slack's first
+    optimum is that of ``two_block_upper_problem``, and its slack's first
     block has the same form, so ``cbnorm._certified_pair`` and
     ``cbnorm._dual_witness`` read its solutions too.
     """
@@ -226,6 +275,27 @@ def dense_independent_rows(rows, b):
                 inconsistent = i
                 break
     return keep, dropped, inconsistent
+
+
+def copying_factor_with_retry(comp, ws):
+    """``sdp._factor_with_retry`` as a copy: every attempt copies the
+    Schur matrix into a second p x p buffer and factors that, so the
+    Schur buffer is never overwritten."""
+    m = comp.m
+    out = np.empty_like(m)
+    p = m.shape[0]
+    base = max(1.0, float(np.trace(m)) / max(1, p))
+    regs = [0.0] + [base * 10.0 ** k for k in range(-14, -5, 3)]
+    diagonal = out.reshape(-1)[::p + 1]
+    for reg in regs:
+        np.copyto(out, m)
+        diagonal += reg
+        try:
+            return scipy.linalg.cho_factor(out.T, lower=True, overwrite_a=True,
+                                           check_finite=False)[0]
+        except scipy.linalg.LinAlgError:
+            continue
+    return None
 
 
 def certify_pair(part, dims, pair, lam_min, scale, tol):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -255,43 +256,36 @@ def test_scaled_witness_fails_lower_reproduced():
 
 
 def _dense_upper_problem(psi):
-    """The majorizing-pair program built one dense matrix per block and
-    row, through the dense ``SdpProblem`` constructor."""
+    """The majorizing-pair program built one dense matrix per row,
+    through the dense ``SdpProblem`` constructor."""
     n, m = psi.dim_in, psi.dim_out
     q = n * m
     big = 2 * q
-    blocks = (big, 1)
-
-    def zero_row():
-        return [np.zeros((d, d), dtype=np.complex128) for d in blocks]
-
     constraints = []
     b = psi.choi
     for u in range(q):
         for w in range(q):
-            re = zero_row()
-            re[0][u, q + w] = 1.0
-            re[0][q + w, u] = 1.0
-            constraints.append((2.0 * float(b[u, w].real), re))
-            im = zero_row()
-            im[0][u, q + w] = 1.0j
-            im[0][q + w, u] = -1.0j
-            constraints.append((2.0 * float(b[u, w].imag), im))
-    eye_n = np.eye(n)
-    for j in (0, 1):
-        off = j * q
-        for h in sdp.hermitian_basis(m):
-            mats = zero_row()
-            mats[0][off:off + q, off:off + q] = matcore.kron(eye_n, h)
-            mats[1][0, 0] = -float(np.real(np.trace(h)))
-            constraints.append((0.0, mats))
-    objective = zero_row()
-    objective[1][0, 0] = 1.0
-    return sdp.SdpProblem(blocks=blocks, objective=objective,
+            re = np.zeros((big, big), dtype=np.complex128)
+            re[u, q + w] = 1.0
+            re[q + w, u] = 1.0
+            constraints.append((2.0 * float(b[u, w].real), (re,)))
+            im = np.zeros((big, big), dtype=np.complex128)
+            im[u, q + w] = 1.0j
+            im[q + w, u] = -1.0j
+            constraints.append((2.0 * float(b[u, w].imag), (im,)))
+    basis = sdp.hermitian_basis(m)
+    last = basis[m - 1]
+    traceless = [e - last for e in basis[:m - 1]] + basis[m:]
+    zero = np.zeros((m, m))
+    # Tr_1 Y_11 = Tr_1 Y_22, then Tr_1 Y_11 = t 1
+    for h11, h22 in [(h, -h) for h in basis] + [(h, zero) for h in traceless]:
+        constraints.append((0.0, (scipy.linalg.block_diag(
+            matcore.kron(np.eye(n), h11), matcore.kron(np.eye(n), h22)),)))
+    return sdp.SdpProblem(blocks=(big,), objective=(np.eye(big),),
                           constraints=constraints)
 
 
-@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (3, 4)])
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (3, 4), (1, 3), (4, 1)])
 def test_upper_problem_matches_dense_construction(n, m):
     rng = sampling.rng_from(0xCB0, n, m)
     g = sampling.complex_gaussian(rng, (n * m, n * m))
@@ -302,9 +296,12 @@ def test_upper_problem_matches_dense_construction(n, m):
         assert got.rhs.tobytes() == want.rhs.tobytes()
         for x, y in zip(got.objective, want.objective):
             assert x.tobytes() == y.tobytes()
-        for x, y in zip(got.rows, want.rows):
-            for f in ("indptr", "indices", "data"):
-                assert getattr(x, f).tobytes() == getattr(y, f).tobytes()
+        (x,), (y,) = got.rows, want.rows
+        assert x.indptr.tobytes() == y.indptr.tobytes()
+        assert x.indices.tobytes() == y.indices.tobytes()
+        # equal values; the dense constructor's Hermitian part may flip
+        # the sign of a zero real or imaginary part of a negated entry
+        assert np.array_equal(x.data, y.data)
 
 
 def _decomposable(n, m):
@@ -316,11 +313,11 @@ def _decomposable(n, m):
         n, m, c1 + matcore.partial_transpose(c2, (n, m), "second"))
 
 
-def _four_block_sandwich(psi):
-    """The sandwich of the program with slack blocks rho_1, rho_2."""
+def _oracle_sandwich(psi, program):
+    """The sandwich of one of the oracle programs."""
     scale = matcore.operator_norm(psi.choi)
     unit = maps.LinearMapRep(psi.dim_in, psi.dim_out, psi.choi / scale)
-    sol = sdp.solve(oracles.four_block_upper_problem(unit))
+    sol = sdp.solve(program(unit))
     assert sol.status == "optimal"
     pair = cbnorm._certified_pair(psi, sol, scale)
     witness = cbnorm._dual_witness(psi, sol)
@@ -329,23 +326,47 @@ def _four_block_sandwich(psi):
     return cbnorm._sandwich(lower, pair.bound(), pair, witness, psi.dim_out)
 
 
-@pytest.mark.parametrize("name", ["general-3-4", "hermitian-3-4",
-                                  "decomposable-3-4"])
-def test_two_block_program_matches_the_four_block_one(name):
-    # adding 1/n (x) rho_j to Y_jj maps the slack program's points to the
-    # two-block program's, and rho_j = 0 maps them back: one optimum
-    rng = sampling.rng_from(0x2B, 3, 4)
-    f = {"general-3-4": lambda: _general(3, 4),
-         "hermitian-3-4": lambda: maps.LinearMapRep(
-             3, 4, oracles.random_hermitian_choi(rng, 3, 4)),
-         "decomposable-3-4": lambda: _decomposable(3, 4)}[name]()
-    closed = cbnorm.closed_form(f)
-    assert closed.upper - closed.lower > 1e-3 * closed.upper  # SDP needed
-    new = cbnorm.cb_norm(f)
-    old = _four_block_sandwich(f)
+def _assert_same_sandwich(new, old):
     for res in (new, old):
         checks = verify.cbnorm_result(res)
         assert all(c.passed for c in checks), checks
         assert not res.loose
     assert abs(new.upper - old.upper) <= 1e-8 * old.upper
     assert abs(new.lower - old.lower) <= 1e-8 * old.upper
+
+
+def _oracle_case(name):
+    rng = sampling.rng_from(0x2B, 3, 4)
+    return {"general-3-4": lambda: _general(3, 4),
+            "general-2-5": lambda: _general(2, 5),
+            "hermitian-3-4": lambda: maps.LinearMapRep(
+                3, 4, oracles.random_hermitian_choi(rng, 3, 4)),
+            "decomposable-3-4": lambda: _decomposable(3, 4),
+            "reduction:3": lambda: maps.reduction_map(3),
+            "reduction:4": lambda: maps.reduction_map(4)}[name]()
+
+
+@pytest.mark.parametrize("name", ["general-3-4", "hermitian-3-4",
+                                  "decomposable-3-4"])
+def test_two_block_program_matches_the_four_block_one(name):
+    # adding 1/n (x) rho_j to Y_jj maps the slack program's points to the
+    # two-block program's, and rho_j = 0 maps them back: one optimum
+    f = _oracle_case(name)
+    closed = cbnorm.closed_form(f)
+    assert closed.upper - closed.lower > 1e-3 * closed.upper  # SDP needed
+    _assert_same_sandwich(
+        _oracle_sandwich(f, oracles.two_block_upper_problem),
+        _oracle_sandwich(f, oracles.four_block_upper_problem))
+
+
+@pytest.mark.parametrize("name", ["general-3-4", "general-2-5",
+                                  "hermitian-3-4", "decomposable-3-4",
+                                  "reduction:3", "reduction:4"])
+def test_one_block_program_matches_the_two_block_one(name):
+    # Tr Y = 2 m t on the one-block program's points, so minimizing Tr Y
+    # minimizes t, and the slack's diagonal blocks keep the form 1 (x) rho_j
+    f = _oracle_case(name)
+    closed = cbnorm.closed_form(f)
+    assert closed.upper - closed.lower > 1e-3 * closed.upper  # SDP needed
+    _assert_same_sandwich(cbnorm.cb_norm(f),
+                          _oracle_sandwich(f, oracles.two_block_upper_problem))

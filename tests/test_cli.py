@@ -458,6 +458,25 @@ def test_overflowing_finite_data_are_one_line_errors(tmp_path, capsys,
             assert err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")  # stderr must hold the one line only
+@pytest.mark.parametrize("extra", [[], ["--verify"]], ids=["plain", "verify"])
+@pytest.mark.parametrize("cells", [[(1, 1)], [(0, 0), (3, 3)]],
+                         ids=["one-diagonal", "two-diagonals"])
+def test_overflowing_element_names_the_part(tmp_path, capsys, cells, extra):
+    # a diagonal of 1.7e308 is finite, but its Hermitian part overflows;
+    # that used to reach the eigensolver or the JSON encoder as inf
+    doc = jsonio.encode_element(separability.extremal_entangled(2))
+    for a, b in cells:
+        doc["parts"][0]["m"][a][b] = [1.7e308, 0.0]
+    path = tmp_path / "element.json"
+    path.write_text(jsonio.dumps(doc))
+    code, out, err = _run(capsys, "sep-check", "--element", f"file:{path}",
+                          *extra)
+    assert (code, out) == (1, "")
+    assert err == ("sepball: error: part (0,0): its Hermitian part "
+                   "overflows the float range\n")
+
+
 def _fresh_interpreter(argv):
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -306,7 +306,7 @@ def _cb_problem(n, m, seed):
     choi = sampling.complex_gaussian(rng, (n * m, n * m))
     prob = cbnorm._upper_problem(maps.LinearMapRep(n, m, choi))
     q = n * m
-    kinds = [0] * (2 * q * q) + [-1] * (2 * m * m)
+    kinds = [0] * (2 * q * q) + [-1] * (2 * m * m - 1)
     return prob, kinds
 
 
@@ -372,8 +372,8 @@ def test_reduction_program_keeps_a_stack_of_its_dense_rows_only():
     from sepball import cbnorm, maps
 
     comp = sdp._Compiled(cbnorm._upper_problem(maps.reduction_map(6)))
-    assert comp.p == 2664
-    assert [s.shape for s in comp.stacks] == [(72, 72, 72), (72, 1, 1)]
+    assert comp.p == 2663
+    assert [s.shape for s in comp.stacks] == [(71, 72, 72)]
 
 
 def _entry_rows(*rows):
@@ -455,8 +455,12 @@ def test_cb_programs_never_reach_the_qr(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "qr", refuse)
     rng = _rng(16)
     general = maps.LinearMapRep(3, 4, sampling.complex_gaussian(rng, (12, 12)))
+    column = maps.LinearMapRep(1, 4, sampling.complex_gaussian(rng, (4, 4)))
+    row = maps.LinearMapRep(4, 1, sampling.complex_gaussian(rng, (4, 4)))
     for prob in (cbnorm._upper_problem(general),
+                 cbnorm._upper_problem(column), cbnorm._upper_problem(row),
                  cbnorm._upper_problem(maps.reduction_map(6)),
+                 oracles.two_block_upper_problem(general),
                  oracles.four_block_upper_problem(general)):
         keep, dropped, inconsistent = sdp._independent_rows(prob.rows,
                                                             prob.rhs)
@@ -469,7 +473,8 @@ def _solution_bytes(sol):
 
 
 def test_buffers_do_not_carry_over_between_solves():
-    # the Schur, factor and kernel buffers belong to one solve
+    # the Schur buffer, which takes the factor, and the kernel's buffers
+    # belong to one solve
     from sepball import cbnorm, maps
 
     rng = _rng(14)
@@ -483,6 +488,63 @@ def test_buffers_do_not_carry_over_between_solves():
     assert a.status == b.status == c.status == "optimal"
     assert _solution_bytes(a) == _solution_bytes(c)
     assert (a.iterations, a.best_iteration) == (c.iterations, c.best_iteration)
+
+
+_FACTOR_CASES = {
+    "mixed": lambda: _feasible(_mixed_problem()[0], 17),
+    "cells": lambda: _feasible(_cell_problem()[0], 15),
+    "cb34": lambda: _cb_problem(3, 4, seed=34)[0],
+}
+
+
+@pytest.mark.parametrize("fail_once", [False, True])
+@pytest.mark.parametrize("case", list(_FACTOR_CASES))
+def test_in_place_factor_matches_the_copying_one(case, fail_once,
+                                                 monkeypatch):
+    # with fail_once the first factorization of each solve overwrites the
+    # buffer and then reports failure, so the refill from W runs
+    prob = _FACTOR_CASES[case]()
+    cho_factor = scipy.linalg.cho_factor
+    calls = []
+
+    def factor(*args, **kwargs):
+        calls.append(None)
+        out = cho_factor(*args, **kwargs)
+        if fail_once and len(calls) == 1:
+            raise scipy.linalg.LinAlgError("forced failure")
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", factor)
+    sols = []
+    for retry in (sdp._factor_with_retry, oracles.copying_factor_with_retry):
+        calls.clear()
+        monkeypatch.setattr(sdp, "_factor_with_retry", retry)
+        sols.append(sdp.solve(prob))
+        assert sols[-1].status == "optimal"
+        assert len(calls) == sols[-1].iterations - 1 + fail_once
+    new, old = sols
+    assert _solution_bytes(new) == _solution_bytes(old)
+    assert (new.iterations, new.best_iteration) == (old.iterations,
+                                                    old.best_iteration)
+
+
+def test_solve_keeps_one_schur_buffer():
+    # the Schur matrix is factored in place: 8 p^2 bytes for it, the rest
+    # for the stacks of dense rows and their products (2.25 when measured)
+    import tracemalloc
+
+    from sepball import cbnorm, maps
+
+    prob = cbnorm._upper_problem(maps.reduction_map(4))
+    p = prob.num_constraints
+    tracemalloc.start()
+    try:
+        sol = sdp.solve(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal"
+    assert peak < 2.75 * 8 * p * p
 
 
 def _posdef(rng, d, eigenvalues=None):
@@ -558,18 +620,24 @@ def test_step_to_boundary_inward_is_unbounded(case):
     assert sdp._step_to_boundary(lam, np.zeros((len(lam),) * 2)) == np.inf
 
 
-def test_cell_problem_solves_to_a_verified_optimum():
-    from sepball import verify
-
-    prob, kinds = _cell_problem()
-    rng = _rng(15)
+def _feasible(prob, seed):
+    """prob's rows with the rhs of a random interior point and a positive
+    definite objective, so that it has a finite optimum."""
+    rng = _rng(seed)
     x0 = [_posdef(rng, d) for d in prob.blocks]
     cons = tuple(
         (float(sum(np.real(np.trace(a @ x)) for a, x in zip(mats, x0))), mats)
         for _, mats in prob.constraints)
-    prob = sdp.SdpProblem(blocks=prob.blocks,
+    return sdp.SdpProblem(blocks=prob.blocks,
                           objective=tuple(_posdef(rng, d) for d in prob.blocks),
                           constraints=cons)
+
+
+def test_cell_problem_solves_to_a_verified_optimum():
+    from sepball import verify
+
+    prob, kinds = _cell_problem()
+    prob = _feasible(prob, 15)
     sol = sdp.solve(prob)
     assert sol.status == "optimal"
     dropped = [i for i, kind in enumerate(kinds) if kind is None]
