@@ -13,7 +13,8 @@ def main() -> None:
           f"level {res.level}  loose {res.loose}")
 
     print("== witness test on 1 - 0.525 F in M_2 (x) M_2 ==")
-    x = separability.extremal_entangled(2, eps=0.05)
+    m2 = algebra.FdAlgebra((2,))
+    x = separability.extremal_direction(m2, m2, eps=0.05)
     verdict = separability.entanglement_witness(x)
     print(f"  status {verdict.status}  margin {verdict.margin:.4f}")
     if verdict.witness is not None:
@@ -21,7 +22,6 @@ def main() -> None:
               f"violation {verdict.witness.violation:.4f}")
 
     print("== witness test at the separable boundary r = 1/2 ==")
-    m2 = algebra.FdAlgebra((2,))
     boundary = algebra.identity_minus(algebra.BipartiteElement(
         m2, m2, (0.5 * matcore.swap_operator(2),)))
     verdict = separability.entanglement_witness(boundary)

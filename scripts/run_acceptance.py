@@ -38,6 +38,9 @@ BATTERY = [
      "--radii", "0.5,0.55", "--samples", "8", "--threads", "2"],
     ["gamma-scan", "--algA", "1,2", "--algB", "2,3",
      "--radii", "0.3,0.5,0.55", "--samples", "6", "--verify"],
+    # just past 1/2: lambda_min(x^G) = -1.2e-9 passes the scaled slack
+    ["gamma-scan", "--algA", "2", "--algB", "2",
+     "--radii", "0.5000000006", "--samples", "0", "--verify"],
     ["eta", "--algA", "2,3", "--algB", "4", "--samples", "2"],
     ["eta", "--algA", "1,1", "--algB", "3", "--samples", "2"],
     ["eta", "--rankA", "inf", "--rankB", "5"],

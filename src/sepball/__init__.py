@@ -11,7 +11,6 @@ from .algebra import (
 from .cbnorm import (
     CbNormResult,
     MajorizingPair,
-    SearchBudget,
     amplification_norm,
     cb_norm,
     cb_upper_sdp,
@@ -41,7 +40,6 @@ from .separability import (
     WitnessData,
     entanglement_witness,
     extremal_direction,
-    extremal_entangled,
     ppt_check,
     sep_ball_scan,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "SchemaError",
     "SdpProblem",
     "SdpSolution",
-    "SearchBudget",
     "SepVerdict",
     "SepballError",
     "SizeCapError",
@@ -88,7 +85,6 @@ __all__ = [
     "entanglement_witness",
     "eta_certificate",
     "extremal_direction",
-    "extremal_entangled",
     "gamma_certificate",
     "hermitian_basis",
     "identity_map",

@@ -49,14 +49,8 @@ from .errors import ConvergenceError, DimensionError
 LOOSE_RELATIVE_WIDTH = 1e-3  # of max(upper, 1): absolute below norm 1
 CLOSED_WIDTH = 1e-9  # of max(upper, 1): a closed form this narrow is kept
 PINV_RELATIVE_CUTOFF = 1e-12  # eigenvalues of rho_j below this share are 0
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Random restarts per level and alternating steps per start."""
-
-    restarts: int = 32
-    steps: int = 300
+SEARCH_RESTARTS = 32  # random starts per level of ``amplification_norm``
+SEARCH_STEPS = 300  # alternating steps per start
 
 
 @dataclass(frozen=True)
@@ -190,17 +184,17 @@ def _dual_witness(psi: maps.LinearMapRep, sol: sdp.SdpSolution) -> np.ndarray:
     return np.conj(k.reshape(n, m, n, m).transpose(1, 0, 3, 2)).reshape(q, q)
 
 
-def cb_upper_sdp(psi: maps.LinearMapRep, gap_tol: float = sdp.GAP_TOL):
+def cb_upper_sdp(psi: maps.LinearMapRep):
     """Solve the majorizing-pair program; returns (value, pair, witness).
 
     The program is solved for psi / ||Choi(psi)||, as the norm is
-    homogeneous, to the relative duality gap ``gap_tol``.  The value is
+    homogeneous, to the relative duality gap ``sdp.GAP_TOL``.  The value is
     the certified pair's ``bound()`` on psi's scale; the witness is the
     dual contraction at level dim_out (see ``_dual_witness``).
     """
     scale = matcore.operator_norm(psi.choi) or 1.0
     unit = maps.LinearMapRep(psi.dim_in, psi.dim_out, psi.choi / scale)
-    sol = sdp.solve(_upper_problem(unit), gap_tol=gap_tol)
+    sol = sdp.solve(_upper_problem(unit))
     if sol.status != "optimal":
         raise ConvergenceError(
             f"cb upper-bound program ended with status {sol.status}: "
@@ -258,13 +252,14 @@ def _search_once(psi: maps.LinearMapRep, k: int, x0: np.ndarray, steps: int):
     return float(np.linalg.norm(y, 2)), x
 
 
-def amplification_norm(psi: maps.LinearMapRep, k: int, seed: int = 0,
-                       budget: SearchBudget = SearchBudget()):
+def amplification_norm(psi: maps.LinearMapRep, k: int, seed: int = 0):
     """Lower bound ||Id_k (x) psi|| with its witness contraction.
 
-    Levels 1..k are swept in order and the best contraction of each level
-    is zero-padded into the next level's starting pool, which makes the
-    reported value monotone nondecreasing in k.
+    Levels 1..k are swept in order.  Each level starts from the identity,
+    a corner swap, ``SEARCH_RESTARTS`` seeded random contractions and the
+    best contraction of the level before, zero-padded, which makes the
+    reported value monotone nondecreasing in k; each start runs at most
+    ``SEARCH_STEPS`` alternating steps.
     """
     if k < 1:
         raise DimensionError(f"amplification level must be positive, got {k}")
@@ -281,13 +276,13 @@ def amplification_norm(psi: maps.LinearMapRep, k: int, seed: int = 0,
             prev = carried.shape[0]
             pad[:prev, :prev] = carried
             starts.append(pad)
-        for r in range(budget.restarts):
+        for r in range(SEARCH_RESTARTS):
             rng = sampling.rng_from(0xCB, seed, level, r)
             starts.append(sampling.random_contraction(rng, d))
 
         level_value, level_x = -np.inf, None
         for x0 in starts:
-            value, x = _search_once(psi, level, x0, budget.steps)
+            value, x = _search_once(psi, level, x0, SEARCH_STEPS)
             if value > level_value:
                 level_value, level_x = value, x
         carried = level_x
@@ -303,25 +298,23 @@ def _sandwich(lower: float, upper: float, pair: MajorizingPair,
                         witness=witness, level=level, loose=loose)
 
 
-def cb_norm(psi: maps.LinearMapRep, level: int | None = None, seed: int = 0,
-            budget: SearchBudget = SearchBudget(),
-            gap_tol: float = sdp.GAP_TOL) -> CbNormResult:
+def cb_norm(psi: maps.LinearMapRep, level: int | None = None,
+            seed: int = 0) -> CbNormResult:
     """Sandwich the cb norm between explicit lower and certified upper bounds.
 
     By default (``level`` None) this is ``closed_form(psi)`` if it closes,
-    else the SDP bound (``cb_upper_sdp`` to the gap ``gap_tol``) with its
-    dual's lower bound at level dim_out, and ``seed`` and ``budget`` are
-    unused.  An explicit ``level`` k takes the lower bound from the
-    seeded search of ``amplification_norm`` instead.
+    else the SDP bound of ``cb_upper_sdp`` with its dual's lower bound at
+    level dim_out, and ``seed`` is unused.  An explicit ``level`` k takes
+    the lower bound from the seeded search of ``amplification_norm``
+    instead.
     """
     if level is None:
         res = closed_form(psi)
         if res.upper - res.lower <= CLOSED_WIDTH * max(res.upper, 1.0):
             return res
     else:  # search first: a bad level fails before the solve
-        lower, witness = amplification_norm(psi, level, seed=seed,
-                                            budget=budget)
-    upper, pair, dual_witness = cb_upper_sdp(psi, gap_tol=gap_tol)
+        lower, witness = amplification_norm(psi, level, seed=seed)
+    upper, pair, dual_witness = cb_upper_sdp(psi)
     if level is None:
         level, witness = psi.dim_out, dual_witness
         lower = matcore.operator_norm(

@@ -31,18 +31,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _tolerance(text: str) -> float:
-    # NaN would fail every threshold comparison and turn verdicts around.
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (0.0 <= value < math.inf):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite nonnegative number, got {text!r}")
-    return value
-
-
 def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
@@ -59,10 +47,6 @@ def _nonnegative_int(text: str) -> int:
 _SHARED_FLAGS = {
     "--seed": dict(type=int, default=0,
                    help="master seed for all stochastic procedures"),
-    "--tol-psd": dict(type=_tolerance, default=separability.PSD_SLACK,
-                      help="eigenvalue slack for positivity checks"),
-    "--tol-gap": dict(type=_tolerance, default=sdp.GAP_TOL,
-                      help="duality-gap target for interior-point solves"),
     "--threads": dict(type=_nonnegative_int, default=0,
                       help="accepted and ignored: scans run in one thread; the "
                       "flag is removed once the benchmark stops passing it "
@@ -99,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search for the lower bound at amplification "
                    "levels 1..LEVEL (default: no search, the dual witness "
                    "of the upper-bound program at level dimOut)")
-    _shared_flags(p, "--seed", "--tol-gap", "--strict")
+    _shared_flags(p, "--seed", "--strict")
 
     p = sub.add_parser("sep-check",
                        help="separability verdict for a positive element")
@@ -112,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated block sizes of the first algebra")
     p.add_argument("--algB", dest="alg_b", default=None,
                    help="comma-separated block sizes of the second algebra")
-    _shared_flags(p, "--seed", "--tol-psd", "--strict")
+    _shared_flags(p, "--seed", "--strict")
 
     p = sub.add_parser("gamma-scan",
                        help="verdict counts over radii around the identity")
@@ -121,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", required=True,
                    help="comma-separated radii in [0, 1]")
     p.add_argument("--samples", type=int, default=50)
-    _shared_flags(p, "--seed", "--tol-psd", "--threads", "--strict")
+    _shared_flags(p, "--seed", "--threads", "--strict")
 
     p = sub.add_parser("eta",
                        help="rank-formula constants with witnesses")
@@ -143,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sdp-solve",
                        help="solve a block SDP from a JSON file")
     p.add_argument("--problem", required=True, help="path to the problem JSON")
-    _shared_flags(p, "--tol-gap")
+    _shared_flags(p)
 
     return parser
 
@@ -267,16 +251,15 @@ def _emit(args, doc: dict) -> None:
 
 def _run_cbnorm(args):
     f = _parse_map_spec(args.map)
-    res = cbnorm.cb_norm(f, level=args.level, seed=args.seed,
-                         gap_tol=args.tol_gap)
+    res = cbnorm.cb_norm(f, level=args.level, seed=args.seed)
     checks = verify.cbnorm_result(res) if args.verify else None
     return jsonio.encode_cbnorm_result(res), 0, res.loose, checks
 
 
 def _run_sep_check(args):
     x = _parse_element_spec(args)
-    v = separability.entanglement_witness(x, tol=args.tol_psd)
-    checks = verify.verdict(x, v, args.tol_psd) if args.verify else None
+    v = separability.entanglement_witness(x)
+    checks = verify.verdict(x, v) if args.verify else None
     return jsonio.encode_verdict(v), 0, v.status == "undecided", checks
 
 
@@ -286,9 +269,8 @@ def _run_gamma_scan(args):
     radii = tuple(_float_tok(tok, args.radii, "--radii")
                   for tok in args.radii.split(",") if tok)
     rep = separability.sep_ball_scan(alg_a, alg_b, radii,
-                                     samples=args.samples, seed=args.seed,
-                                     tol=args.tol_psd)
-    checks = verify.scan(rep, args.tol_psd) if args.verify else None
+                                     samples=args.samples, seed=args.seed)
+    checks = verify.scan(rep) if args.verify else None
     unsettled = any(r.undecided > 0 for r in rep.rows)
     return jsonio.encode_scan_report(rep), 0, unsettled, checks
 
@@ -320,7 +302,7 @@ def _run_kappa(args):
 def _run_sdp_solve(args):
     problem = jsonio.decode_sdp_problem(
         jsonio.load_document(args.problem), path=args.problem)
-    sol = sdp.solve(problem, gap_tol=args.tol_gap)
+    sol = sdp.solve(problem)
     checks = verify.sdp_solution(problem, sol) if args.verify else None
     code = 1 if sol.status == "maxiter" else 0
     return jsonio.encode_sdp_solution(sol), code, False, checks

@@ -70,13 +70,13 @@ def check_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     return a / 2.0 + a.conj().T / 2.0
 
 
-def eig_hermitian(m, rtol: float = HERMITICITY_RTOL):
+def eig_hermitian(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending (real float64)
     and unitary ``v`` whose columns are the matching eigenvectors.
     """
-    a = check_hermitian(m, rtol=rtol)
+    a = check_hermitian(m)
     try:
         w, v = scipy.linalg.eigh(a, driver="ev")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - pathological
@@ -84,9 +84,9 @@ def eig_hermitian(m, rtol: float = HERMITICITY_RTOL):
     return w, v
 
 
-def eigvals_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def eigvals_hermitian(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending, without eigenvectors."""
-    a = check_hermitian(m, rtol=rtol)
+    a = check_hermitian(m)
     try:
         return scipy.linalg.eigvalsh(a, driver="ev")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - pathological

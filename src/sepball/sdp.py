@@ -57,7 +57,7 @@ from .errors import ConvergenceError, DimensionError
 # Fixed algorithm constants (read-only).
 MAX_ITER = 200
 FEAS_TOL = 1e-9  # relative primal and dual residuals of an optimal iterate
-GAP_TOL = 1e-9  # default relative duality gap of an optimal iterate
+GAP_TOL = 1e-9  # relative duality gap of an optimal iterate
 STEP_FRACTION = 0.98
 DIVERGENCE_SCALE = 1e8
 LOOSE_MERIT = 1e-7  # accept early-terminated iterates up to this KKT merit
@@ -530,7 +530,7 @@ def _step_to_boundary(lam, ds):
     return -1.0 / lam_min
 
 
-def solve(problem: SdpProblem, gap_tol: float = GAP_TOL) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point iteration; see the module docstring."""
     comp = _Compiled(problem)
     if comp.inconsistent is not None:
@@ -583,7 +583,7 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL) -> SdpSolution:
             stall += 1
 
         if (pres <= FEAS_TOL and dres <= FEAS_TOL
-                and rel_gap <= gap_tol and cgap <= gap_tol):
+                and rel_gap <= GAP_TOL and cgap <= GAP_TOL):
             status = "optimal"
             break
         if stall >= 8 and best_merit <= LOOSE_MERIT:

@@ -24,7 +24,9 @@ stacked eigensolve per step (positivity precheck, x^G, moved elements).
 ``entanglement_witness`` runs it on stacks of one; ``sep_ball_scan``,
 which scans random and directed elements at given radii, runs it once
 per block pair on all elements of a radius.  The module also builds the
-extremal entangled elements just past the radius 1/min(rank).
+extremal entangled elements just past the radius 1/min(rank).  Every
+eigenvalue test reads the one slack ``PSD_SLACK``, relative to
+max(1, ||part||).
 """
 
 from __future__ import annotations
@@ -70,15 +72,23 @@ class SepVerdict:
     pair_reports: tuple[PairReport, ...] = ()
 
 
-def ppt_check(x: algebra.BipartiteElement, tol: float = PSD_SLACK):
+def ppt_margin(lam: float, part: np.ndarray) -> float:
+    """lam + PSD_SLACK * s with s = max(1, ||part||): negative exactly
+    when lam, the smallest eigenvalue of part's partial transpose, makes
+    the pair NPT.  As s >= 1, s is taken only where lam < -PSD_SLACK and
+    read as 1 elsewhere, which decides the same."""
+    if lam >= -PSD_SLACK:
+        return lam + PSD_SLACK
+    return lam + PSD_SLACK * max(1.0, matcore.operator_norm(part))
+
+
+def ppt_check(x: algebra.BipartiteElement):
     """Partial-transpose positivity per block pair.
 
     Returns (all_nonnegative, margins) where margins[i] is the smallest
     eigenvalue of the partially transposed part in lexicographic order.
-    A part fails when its margin is below -tol * max(1, ||part||).
+    A part fails when ``ppt_margin`` of its margin is negative.
     """
-    if not tol >= 0.0:
-        raise DimensionError(f"tolerance must be nonnegative, got {tol}")
     margins = []
     ok = True
     for (k, l) in x.pairs():
@@ -86,9 +96,7 @@ def ppt_check(x: algebra.BipartiteElement, tol: float = PSD_SLACK):
         gamma = matcore.partial_transpose(part, x.pair_dims(k, l), "second")
         margin = matcore.min_eigenvalue(gamma)
         margins.append(margin)
-        # The scale is at least one, so only a margin below -tol needs it.
-        if margin < -tol and \
-                margin < -tol * max(1.0, matcore.operator_norm(part)):
+        if ppt_margin(margin, part) < 0:
             ok = False
     return ok, margins
 
@@ -111,7 +119,7 @@ def _eigh(stack, vectors=True):
         raise ConvergenceError(f"Hermitian eigensolver hit its iteration limit: {exc}")
 
 
-def _certify_stack(parts, dims, pair, tol):
+def _certify_stack(parts, dims, pair):
     """Closed-form decomposable witness on a stack of elements of one pair.
 
     ``parts`` is a (B, n*m, n*m) stack of Hermitian parts of block pair
@@ -122,8 +130,10 @@ def _certify_stack(parts, dims, pair, tol):
     n, m = dims
     evals = _eigh(parts, vectors=False)
     lam_min = evals[:, 0]
-    scale = np.maximum(1.0, np.maximum(np.abs(lam_min), np.abs(evals[:, -1])))
-    bad = np.flatnonzero(lam_min < -tol * scale)
+    # PSD_SLACK * max(1, ||part||), the norm read off the spectrum
+    slack = PSD_SLACK * np.maximum(
+        1.0, np.maximum(np.abs(lam_min), np.abs(evals[:, -1])))
+    bad = np.flatnonzero(lam_min < -slack)
     if len(bad):
         raise PositivityError(
             f"block pair ({pair[0]},{pair[1]}) has eigenvalue "
@@ -144,7 +154,7 @@ def _certify_stack(parts, dims, pair, tol):
                    "no decomposable witness; sizes beyond the decisive range")
     verdicts = [verdict] * len(parts)
     witnesses = {}
-    negative = [] if scalar_leg else np.flatnonzero(values < -tol * scale)
+    negative = [] if scalar_leg else np.flatnonzero(values < -slack)
     if len(negative):
         # lam_min passed the precheck, so the optimum is lambda_min(x^G),
         # attained by C_2 = |v><v|: W = (|v><v|)^G has trace one.
@@ -159,7 +169,7 @@ def _certify_stack(parts, dims, pair, tol):
         m_evals, m_vecs = _eigh(np.array(moved))
         for (w, phi), i, violation, vector in zip(
                 found, negative, m_evals[:, 0], m_vecs[:, :, 0]):
-            if violation < -tol * scale[i]:
+            if violation < -slack[i]:
                 witnesses[i] = WitnessData(
                     pair=pair, map=phi, vector=vector,
                     violation=float(violation), witness_matrix=w)
@@ -195,14 +205,13 @@ def _product_factors(part, dims):
     return []
 
 
-def entanglement_witness(x: algebra.BipartiteElement,
-                         tol: float = PSD_SLACK) -> SepVerdict:
+def entanglement_witness(x: algebra.BipartiteElement) -> SepVerdict:
     """Certify entanglement or separability of a positive element."""
     x = x.hermitized()
     reports, witness = [], None
     for (k, l) in x.pairs():
         (report,), found = _certify_stack(
-            x.part(k, l)[None], x.pair_dims(k, l), (k, l), tol)
+            x.part(k, l)[None], x.pair_dims(k, l), (k, l))
         reports.append(report)
         if witness is None:
             witness = found.get(0)
@@ -224,39 +233,22 @@ def entanglement_witness(x: algebra.BipartiteElement,
                       pair_reports=tuple(reports))
 
 
-def extremal_entangled(n: int, eps: float = 0.05) -> algebra.BipartiteElement:
-    """1 (x) 1 - r F on M_n (x) M_n with r = (1 + eps)/n.
-
-    The element is positive for r <= 1 and its partial transpose has
-    smallest eigenvalue exactly -eps, witnessing entanglement just past
-    the separable radius 1/n.
-    """
-    if eps < 0:
-        raise DimensionError(f"eps must be nonnegative, got {eps}")
-    r = (1.0 + eps) / n
-    if r > 1.0:
-        raise DimensionError(
-            f"eps {eps} pushes r = (1+eps)/{n} past 1; the element would "
-            "leave the positive cone"
-        )
-    alg = algebra.FdAlgebra((n,))
-    part = np.eye(n * n, dtype=np.complex128) - r * matcore.swap_operator(n)
-    return algebra.BipartiteElement(alg, alg, (part,))
-
-
 def extremal_direction(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
                        eps: float = 0.05) -> algebra.BipartiteElement:
     """1 (x) 1 - r F_embedded with r = (1 + eps)/min(rank).
 
-    The swap sits in the max-rank block pair; the element is the
-    direct-sum version of ``extremal_entangled`` and is entangled for
-    any eps > 0 while staying positive for eps <= min(rank) - 1.
+    The swap of size d = min(rank) sits in the max-rank block pair.  Its
+    partial transpose there has smallest eigenvalue exactly -eps, so the
+    element is entangled for any eps > 0, just past the separable radius
+    1/d, while staying positive for eps <= d - 1.
     """
     d = min(alg_a.rank, alg_b.rank)
     if d < 2:
         raise DimensionError(
             "extremal direction needs both algebras to have rank >= 2"
         )
+    if not eps >= 0.0:
+        raise DimensionError(f"eps must be nonnegative, got {eps}")
     r = (1.0 + eps) / d
     if r > 1.0:
         raise DimensionError(
@@ -329,8 +321,7 @@ def _directed_element(alg_a, alg_b, radius) -> algebra.BipartiteElement:
 
 
 def sep_ball_scan(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
-                  radii, samples: int = 50, seed: int = 0,
-                  tol: float = PSD_SLACK) -> ScanReport:
+                  radii, samples: int = 50, seed: int = 0) -> ScanReport:
     """Verdict counts for identity-minus-perturbation elements.
 
     Per radius r the scan draws ``samples`` GUE perturbations normalized
@@ -363,7 +354,7 @@ def sep_ball_scan(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
             parts = np.concatenate([eye - stack, last[None]])
             parts = (parts + parts.conj().transpose(0, 2, 1)) / 2.0
             reports, _ = _certify_stack(parts, directed.pair_dims(k, l),
-                                        (k, l), tol)
+                                        (k, l))
             by_pair.append([rep.status for rep in reports])
         statuses = [_combined_status(col) for col in zip(*by_pair)]
         counts = {s: statuses.count(s) for s in (

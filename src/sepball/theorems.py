@@ -33,6 +33,7 @@ MATRIX_CAP = 12
 CB_BRACKET_TOL = 1e-3
 KAPPA_LOWER_TOL = 1e-3
 KAPPA_UPPER_SLACK = 1e-6
+EXTREMAL_EPS = 0.05  # the extremal witness sits at radius (1 + eps)/min(rank)
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,12 @@ def eta_certificate(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra):
 
 
 def gamma_certificate(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
-                      samples: int = 6, seed: int = 0, eps: float = 0.05):
+                      samples: int = 6, seed: int = 0):
     """(exact radius, scan evidence at the radius, entangled witness past it).
 
-    The witness is None when min(rank) = 1: the ball then fills the
-    whole unit ball and there is nothing entangled to exhibit.
+    The witness is ``separability.extremal_direction`` at EXTREMAL_EPS.
+    It is None when min(rank) = 1: the ball then fills the whole unit
+    ball and there is nothing entangled to exhibit.
     """
     d = min(alg_a.rank, alg_b.rank)
     value = Fraction(1, d)
@@ -101,7 +103,7 @@ def gamma_certificate(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
         alg_a, alg_b, radii=(float(value),), samples=samples, seed=seed)
     witness = None
     if d >= 2:
-        witness = separability.extremal_direction(alg_a, alg_b, eps)
+        witness = separability.extremal_direction(alg_a, alg_b, EXTREMAL_EPS)
     return value, evidence, witness
 
 
@@ -169,12 +171,11 @@ def kappa_matrix_check(n: int, m: int):
 
 
 def rank_formula_report(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
-                        seed: int = 0, samples: int = 6,
-                        eps: float = 0.05) -> RankFormulaReport:
+                        seed: int = 0, samples: int = 6) -> RankFormulaReport:
     """Evaluate eta, gamma, kappa on one algebra pair and verify every witness."""
     eta_value, eta_witness = eta_certificate(alg_a, alg_b)
     gamma_value, evidence, gamma_witness = gamma_certificate(
-        alg_a, alg_b, samples=samples, seed=seed, eps=eps)
+        alg_a, alg_b, samples=samples, seed=seed)
 
     product = Fraction(eta_value) * gamma_value
     checks = [

@@ -68,9 +68,21 @@ def cbnorm_result(res: cbnorm.CbNormResult) -> tuple[NamedCheck, ...]:
     )
 
 
-def verdict(x: algebra.BipartiteElement, v: separability.SepVerdict,
-            tol: float = separability.PSD_SLACK) -> tuple[NamedCheck, ...]:
-    """``tol`` is the slack ``v`` was computed with."""
+def _ppt_margins(x: algebra.BipartiteElement) -> list[float]:
+    """``separability.ppt_margin`` per block pair of x: negative exactly
+    on the pairs that ``separability.ppt_check`` finds NPT."""
+    _, lams = separability.ppt_check(x)
+    return [separability.ppt_margin(lam, x.part(*pair))
+            for lam, pair in zip(lams, x.pairs())]
+
+
+def _npt_check(name: str, x: algebra.BipartiteElement) -> NamedCheck:
+    margin = -min(_ppt_margins(x))
+    return NamedCheck(name, margin > 0, margin)
+
+
+def verdict(x: algebra.BipartiteElement,
+            v: separability.SepVerdict) -> tuple[NamedCheck, ...]:
     if v.status == "entangled-certified" and v.witness is not None:
         w = v.witness
         part = x.part(*w.pair)
@@ -82,9 +94,10 @@ def verdict(x: algebra.BipartiteElement, v: separability.SepVerdict,
                                      - w.violation * w.vector))
         drift = abs(lam - w.violation)
         drift_tol = VIOLATION_REPRODUCE_TOL * scale
+        slack = separability.PSD_SLACK * scale
         return (
-            NamedCheck("moved-element-negative", lam < -tol * scale,
-                       -lam - tol * scale),
+            NamedCheck("moved-element-negative", lam < -slack,
+                       -lam - slack),
             NamedCheck("violation-reproduced", drift <= drift_tol,
                        drift_tol - drift),
             NamedCheck("witness-vector-eigen",
@@ -93,14 +106,8 @@ def verdict(x: algebra.BipartiteElement, v: separability.SepVerdict,
         )
     if v.status != "separable-certified":
         return (NamedCheck("undecided-nothing-to-verify", True, 0.0),)
-    checks = []
-    for (k, l) in x.pairs():
-        part = x.part(k, l)
-        gamma = matcore.partial_transpose(part, x.pair_dims(k, l), "second")
-        lam = matcore.min_eigenvalue(gamma)
-        scale = max(1.0, matcore.operator_norm(part))
-        checks.append(NamedCheck(f"ppt-margin-{k}-{l}", lam >= -tol * scale,
-                                 lam + tol * scale))
+    checks = [NamedCheck(f"ppt-margin-{k}-{l}", margin >= 0, margin)
+              for (k, l), margin in zip(x.pairs(), _ppt_margins(x))]
     for (pair, factors) in (v.decomposition or []):
         if not factors:
             continue
@@ -119,9 +126,7 @@ def verdict(x: algebra.BipartiteElement, v: separability.SepVerdict,
     return tuple(checks)
 
 
-def scan(rep: separability.ScanReport,
-         tol: float = separability.PSD_SLACK) -> tuple[NamedCheck, ...]:
-    """``tol`` is the slack the scan was computed with."""
+def scan(rep: separability.ScanReport) -> tuple[NamedCheck, ...]:
     checks = []
     for i, row in enumerate(rep.rows):
         total = row.separable + row.entangled + row.undecided
@@ -129,14 +134,12 @@ def scan(rep: separability.ScanReport,
                                  float(rep.samples + 1 - total)))
         directed = algebra.identity_minus(separability._directed_element(
             rep.alg_a, rep.alg_b, row.radius))
-        _, margins = separability.ppt_check(directed, tol=tol)
-        npt = min(margins) < -tol
         if row.directed_status == "entangled-certified":
-            checks.append(NamedCheck(f"row-{i}-directed-npt", npt,
-                                     -min(margins) - tol))
+            checks.append(_npt_check(f"row-{i}-directed-npt", directed))
         elif row.directed_status == "separable-certified":
-            checks.append(NamedCheck(f"row-{i}-directed-ppt", not npt,
-                                     min(margins) + tol))
+            margin = min(_ppt_margins(directed))
+            checks.append(NamedCheck(f"row-{i}-directed-ppt", margin >= 0,
+                                     margin))
     expected = next((row.radius for row in rep.rows if row.entangled > 0),
                     None)
     checks.append(NamedCheck("onset-consistent", expected == rep.onset, 0.0))
@@ -160,12 +163,8 @@ def rank_report(report: theorems.RankFormulaReport) -> tuple[NamedCheck, ...]:
                    kappa.upper + theorems.KAPPA_UPPER_SLACK - kappa.lower),
     ]
     if report.gamma_upper_witness is not None:
-        # The extremal witness was certified with the default slack.
-        tol = separability.PSD_SLACK
-        _, margins = separability.ppt_check(report.gamma_upper_witness,
-                                            tol=tol)
-        checks.append(NamedCheck("extremal-witness-npt", min(margins) < -tol,
-                                 -min(margins) - tol))
+        checks.append(_npt_check("extremal-witness-npt",
+                                 report.gamma_upper_witness))
     return tuple(checks)
 
 

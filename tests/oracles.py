@@ -19,7 +19,7 @@ import scipy.sparse
 
 from sepball import algebra, maps, matcore, sampling, sdp, separability
 from sepball.errors import DimensionError, PositivityError
-from sepball.separability import (DECISIVE_PAIRS, PSD_SLACK, PairReport,
+from sepball.separability import (DECISIVE_PAIRS, PairReport,
                                   ScanReport, ScanRow, SepVerdict,
                                   WitnessData, induced_witness_map)
 from sepball.sampling import complex_gaussian, gue
@@ -352,9 +352,9 @@ def certify_pair(part, dims, pair, lam_min, scale, tol):
     return report, None, None
 
 
-def entanglement_witness(x: algebra.BipartiteElement,
-                         tol: float = PSD_SLACK) -> SepVerdict:
+def entanglement_witness(x: algebra.BipartiteElement) -> SepVerdict:
     """Certify entanglement or separability of a positive element."""
+    tol = separability.PSD_SLACK
     x = x.hermitized()
     spectra = []
     for (k, l) in x.pairs():
@@ -412,15 +412,14 @@ def gue_element(alg_a, alg_b, radius, rng) -> algebra.BipartiteElement:
 
 
 def sep_ball_scan(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
-                  radii, samples: int = 50, seed: int = 0,
-                  tol: float = PSD_SLACK) -> ScanReport:
+                  radii, samples: int = 50, seed: int = 0) -> ScanReport:
     """``separability.sep_ball_scan`` one sample at a time."""
     radii = tuple(float(r) for r in radii)
 
     def one_sample(ri: int, s: int):
         rng = sampling.rng_from(0x5CA9, seed, ri, s)
         x = gue_element(alg_a, alg_b, radii[ri], rng)
-        return entanglement_witness(algebra.identity_minus(x), tol=tol).status
+        return entanglement_witness(algebra.identity_minus(x)).status
 
     rows = []
     onset = None
@@ -428,8 +427,7 @@ def sep_ball_scan(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
         statuses = [one_sample(ri, s) for s in range(samples)]
         directed = entanglement_witness(
             algebra.identity_minus(
-                separability._directed_element(alg_a, alg_b, r)),
-            tol=tol).status
+                separability._directed_element(alg_a, alg_b, r))).status
         statuses.append(directed)
         counts = {s: statuses.count(s) for s in (
             "separable-certified", "entangled-certified", "undecided")}

@@ -9,8 +9,10 @@ import pytest
 
 import oracles
 from sepball import (
-    cli, jsonio, maps, sampling, sdp, separability, theorems, verify,
+    algebra, cli, jsonio, maps, sampling, sdp, separability, theorems, verify,
 )
+
+M2 = algebra.FdAlgebra((2,))
 
 
 def _run(capsys, *argv):
@@ -80,6 +82,38 @@ def test_sep_check_extremal_entangled(capsys):
     assert doc["status"] == "entangled-certified"
     assert doc["margin"] < 0
     assert doc["witness"]["violation"] < 0
+
+
+def test_sep_check_refuses_negative_extremal_eps(capsys):
+    code, out, err = _run(capsys, "sep-check", "--element", "extremal:-0.5",
+                          "--dims", "2x2")
+    assert (code, out) == (1, "")
+    assert err == "sepball: error: eps must be nonnegative, got -0.5\n"
+
+
+def _checks(out):
+    return {c["name"]: c for c in json.loads(out)["verify"]["checks"]}
+
+
+@pytest.mark.parametrize("radius", ["0.4", "0.5", "0.5000000006"])
+def test_scan_and_sep_check_share_the_ppt_rule(capsys, radius):
+    # Just past 1/2 the partial transpose has lambda_min = -1.2e-9, which
+    # the slack 1e-9 * ||part|| = 1.5e-9 still passes; a scan re-check
+    # that scaled the slack by 1 used to call that NPT and exit 1.
+    code, out, _ = _run(capsys, "sep-check", "--element",
+                        f"id_minus:swap:{radius}", "--dims", "2x2",
+                        "--verify")
+    assert code == 0
+    assert json.loads(out)["status"] == "separable-certified"
+    check = _checks(out)["ppt-margin-0-0"]
+    code, out, _ = _run(capsys, "gamma-scan", "--algA", "2", "--algB", "2",
+                        "--radii", radius, "--samples", "0", "--verify")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["directedStatus"] == \
+        "separable-certified"
+    assert _checks(out)["row-0-directed-ppt"] == \
+        dict(check, name="row-0-directed-ppt")
+    assert check["passed"] and check["margin"] > 0
 
 
 def test_sep_check_strict_undecided(capsys):
@@ -270,7 +304,7 @@ def _bad_number_case(kind):
         return ("cbnorm", "--map", "file:{}"), doc, doc["choi"][1], 0, \
             "choi[1][0]"
     if kind == "element":
-        doc = jsonio.encode_element(separability.extremal_entangled(2))
+        doc = jsonio.encode_element(separability.extremal_direction(M2, M2))
         return ("sep-check", "--element", "file:{}"), doc, \
             doc["parts"][0]["m"][0][2], 1, "parts[0].m[0][2][1]"
     if kind == "problem":
@@ -296,23 +330,6 @@ def test_non_finite_json_numbers_are_one_line_errors(tmp_path, capsys,
     assert where in err
 
 
-_TOLERANCE_ARGV = {
-    # a NaN slack used to certify this entangled element as separable
-    "--tol-psd": ("sep-check", "--element", "extremal:0.05", "--dims", "2x2"),
-    "--tol-gap": ("cbnorm", "--map", "transpose:2"),
-}
-
-
-@pytest.mark.parametrize("flag,value", [("--tol-psd", "nan"),
-                                        ("--tol-psd", "-1"),
-                                        ("--tol-gap", "inf")])
-def test_bad_tolerance_is_usage_error(capsys, flag, value):
-    code, out, err = _run(capsys, *_TOLERANCE_ARGV[flag], flag, value)
-    assert code == 1
-    assert out == ""
-    assert f"argument {flag}" in err.splitlines()[-1]
-
-
 _BASE_ARGV = {
     "cbnorm": ("cbnorm", "--map", "transpose:2"),
     "sep-check": ("sep-check", "--element", "extremal:0.05", "--dims", "2x2"),
@@ -324,16 +341,19 @@ _BASE_ARGV = {
 }
 
 
+# The tolerances are constants: no command takes --tol-psd or --tol-gap.
 @pytest.mark.parametrize("command,flag", [
-    ("cbnorm", "--tol-psd"), ("cbnorm", "--threads"),
-    ("sep-check", "--tol-gap"), ("sep-check", "--threads"),
-    ("gamma-scan", "--tol-gap"),
+    ("cbnorm", "--tol-psd"), ("cbnorm", "--tol-gap"), ("cbnorm", "--threads"),
+    ("sep-check", "--tol-psd"), ("sep-check", "--tol-gap"),
+    ("sep-check", "--threads"),
+    ("gamma-scan", "--tol-psd"), ("gamma-scan", "--tol-gap"),
     ("eta", "--tol-gap"), ("eta", "--threads"), ("eta", "--strict"),
     ("eta", "--tol-psd"),
     ("kappa", "--seed"), ("kappa", "--tol-psd"), ("kappa", "--threads"),
     ("kappa", "--strict"), ("kappa", "--tol-gap"),
     ("sdp-solve", "--seed"), ("sdp-solve", "--tol-psd"),
-    ("sdp-solve", "--threads"), ("sdp-solve", "--strict"),
+    ("sdp-solve", "--tol-gap"), ("sdp-solve", "--threads"),
+    ("sdp-solve", "--strict"),
 ])
 def test_flags_a_command_does_not_read_are_refused(capsys, command, flag):
     value = () if flag == "--strict" else ("1",)
@@ -465,7 +485,7 @@ def test_overflowing_finite_data_are_one_line_errors(tmp_path, capsys,
 def test_overflowing_element_names_the_part(tmp_path, capsys, cells, extra):
     # a diagonal of 1.7e308 is finite, but its Hermitian part overflows;
     # that used to reach the eigensolver or the JSON encoder as inf
-    doc = jsonio.encode_element(separability.extremal_entangled(2))
+    doc = jsonio.encode_element(separability.extremal_direction(M2, M2))
     for a, b in cells:
         doc["parts"][0]["m"][a][b] = [1.7e308, 0.0]
     path = tmp_path / "element.json"

@@ -652,10 +652,11 @@ def test_best_iteration_names_the_returned_iterate(monkeypatch):
     # X_00 = 0 and Tr X = 1 leave no interior point, so with unreachable
     # tolerances progress stalls and the iterate of 8 steps back is kept
     monkeypatch.setattr(sdp, "FEAS_TOL", 0.0)
+    monkeypatch.setattr(sdp, "GAP_TOL", 0.0)
     prob = sdp.SdpProblem(
         blocks=(2,), objective=(np.diag([1.0, 2.0]),),
         constraints=((0.0, (np.diag([1.0, 0.0]),)), (1.0, (np.eye(2),))))
-    sol = sdp.solve(prob, gap_tol=0.0)
+    sol = sdp.solve(prob)
     assert sol.status == "optimal" and "stalled" in sol.message
     assert sol.best_iteration == sol.iterations - 8
     assert abs(sol.primal_obj - 2.0) < 1e-7

@@ -40,20 +40,15 @@ def test_ppt_check_scales_tolerance_and_skips_needless_norms(monkeypatch):
     norm = matcore.operator_norm
     monkeypatch.setattr(matcore, "operator_norm",
                         lambda m: calls.append(1) or norm(m))
-    # margin -1 passes -tol * ||part|| = -10 but not -tol: the norm decides
+    # margin -1 passes -slack * ||part|| = -10 but not -slack: the norm decides
+    monkeypatch.setattr(separability, "PSD_SLACK", 1e-3)
     part = 1e4 * np.eye(4) - (1e4 + 1.0) * matcore.swap_operator(2) / 2
     big = _single(M2, M2, part)
-    ok, margins = separability.ppt_check(big, tol=1e-3)
+    ok, margins = separability.ppt_check(big)
     assert abs(margins[0] + 1.0) < 1e-9 and ok and len(calls) == 1
     calls.clear()
     ok, _ = separability.ppt_check(oracles.bipartite_identity(M2, M3))
     assert ok and calls == []
-
-
-@pytest.mark.parametrize("tol", [-1e-9, float("nan")])
-def test_ppt_check_refuses_bad_tolerance(tol):
-    with pytest.raises(DimensionError):
-        separability.ppt_check(oracles.bipartite_identity(M2, M2), tol=tol)
 
 
 def _witness_problem(part, dims):
@@ -123,7 +118,7 @@ def test_closed_form_witness_without_solver(dims, monkeypatch):
 
 
 def test_extremal_entangled_is_certified():
-    x = separability.extremal_entangled(2, eps=0.05)
+    x = separability.extremal_direction(M2, M2, eps=0.05)
     verdict = separability.entanglement_witness(x)
     assert verdict.status == "entangled-certified"
     assert verdict.margin < 0
@@ -141,7 +136,7 @@ def test_extremal_entangled_is_certified():
 
 
 def test_extremal_entangled_ppt_margin():
-    x = separability.extremal_entangled(3, eps=0.05)
+    x = separability.extremal_direction(M3, M3, eps=0.05)
     ok, margins = separability.ppt_check(x)
     assert not ok
     assert abs(margins[0] + 0.05) < 1e-10
@@ -265,6 +260,24 @@ def test_extremal_direction_margin():
 def test_extremal_direction_needs_rank_two():
     with pytest.raises(DimensionError):
         separability.extremal_direction(algebra.FdAlgebra((1,)), M2)
+
+
+@pytest.mark.parametrize("eps", [-0.5, -1e-12, float("nan")])
+def test_extremal_direction_refuses_negative_eps(eps):
+    # eps < 0 would put the element inside the separable ball
+    with pytest.raises(DimensionError, match="eps must be nonnegative"):
+        separability.extremal_direction(M2, M2, eps)
+
+
+def test_ppt_margin_reads_the_slack_at_call_time(monkeypatch):
+    # the scale max(1, ||part||) = 2 counts only below -PSD_SLACK
+    part = 2.0 * np.eye(4)
+    margin = separability.ppt_margin
+    assert margin(-1.5e-9, part) == pytest.approx(0.5e-9, abs=1e-20)
+    assert margin(-0.5e-9, part) == pytest.approx(0.5e-9, abs=1e-20)
+    monkeypatch.setattr(separability, "PSD_SLACK", 1e-3)
+    assert margin(-1.5e-9, part) == pytest.approx(1e-3 - 1.5e-9, abs=1e-20)
+    assert margin(-1.5e-3, part) == pytest.approx(0.5e-3, abs=1e-18)
 
 
 def test_scan_counts_and_onset():

@@ -31,7 +31,7 @@ def test_verdict_checks_per_status():
     assert v.status == "separable-certified"
     assert _names(verify.verdict(sep, v)) == ["ppt-margin-0-0"]
 
-    ent = separability.extremal_entangled(2)
+    ent = separability.extremal_direction(M2, M2)
     checks = verify.verdict(ent, separability.entanglement_witness(ent))
     assert _names(checks) == ["moved-element-negative",
                               "violation-reproduced", "witness-vector-eigen"]
