@@ -23,7 +23,7 @@ def main() -> None:
 
     print("== witness test at the separable boundary r = 1/2 ==")
     boundary = algebra.identity_minus(algebra.BipartiteElement(
-        m2, m2, (0.5 * matcore.swap_operator(2),)))
+        m2, m2, (0.5 * matcore.embedded_swap(2, 2, 2),)))
     verdict = separability.entanglement_witness(boundary)
     print(f"  status {verdict.status}  margin {verdict.margin:.4f}")
 

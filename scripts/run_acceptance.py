@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sepball import cbnorm, cli, jsonio, maps, sdp
+from sepball import algebra, cbnorm, cli, jsonio, maps, sdp
 
 BATTERY = [
     ["cbnorm", "--map", "transpose:2"],
@@ -27,11 +27,14 @@ BATTERY = [
     ["cbnorm", "--map", "reduction:5", "--verify"],
     ["cbnorm", "--map", "transpose:3", "--verify"],
     ["cbnorm", "--map", "transpose:6", "--verify"],
-    ["sep-check", "--element", "id_minus:swap:0.5", "--dims", "2x2", "--verify"],
-    ["sep-check", "--element", "extremal:0.05", "--dims", "2x2", "--verify"],
-    ["sep-check", "--element", "gue:0.3", "--dims", "2x3", "--seed", "7"],
-    ["sep-check", "--element", "id_minus:gue:0.45", "--dims", "2x2",
-     "--seed", "3", "--verify"],
+    ["sep-check", "--element", "id_minus:swap:0.5", "--algA", "2",
+     "--algB", "2", "--verify"],
+    ["sep-check", "--element", "extremal:0.05", "--algA", "2", "--algB", "2",
+     "--verify"],
+    ["sep-check", "--element", "id_minus:gue:0.3", "--algA", "2",
+     "--algB", "3", "--seed", "7"],
+    ["sep-check", "--element", "id_minus:gue:0.45", "--algA", "2",
+     "--algB", "2", "--seed", "3", "--verify"],
     ["gamma-scan", "--algA", "2,3", "--algB", "3",
      "--radii", "0.3,0.34,0.4", "--samples", "4", "--verify"],
     ["gamma-scan", "--algA", "2", "--algB", "2",
@@ -122,6 +125,15 @@ def _write_map(path: Path) -> None:
     path.write_text(jsonio.dumps(jsonio.encode_map(f)))
 
 
+def _write_scalar_leg(path: Path) -> None:
+    """diag(100, -5e-8) on (1,) x (2,): a product whose factor's
+    eigenvalue -5e-8 lies within the verdict's slack 1e-9 * ||part||."""
+    x = algebra.BipartiteElement(algebra.FdAlgebra((1,)),
+                                 algebra.FdAlgebra((2,)),
+                                 (np.diag([100.0, -5e-8]),))
+    path.write_text(jsonio.dumps(jsonio.encode_element(x)))
+
+
 def run_battery(outdir: Path, inputs: Path) -> list[bytes]:
     outputs = []
     file_argv = [
@@ -129,6 +141,8 @@ def run_battery(outdir: Path, inputs: Path) -> list[bytes]:
         ["sdp-solve", "--problem", str(inputs / "mixed.json"), "--verify"],
         ["cbnorm", "--map", f"file:{inputs / 'map34.json'}", "--verify"],
         ["sdp-solve", "--problem", str(inputs / "cb23.json"), "--verify"],
+        ["sep-check", "--element", f"file:{inputs / 'scalar_leg.json'}",
+         "--verify"],
     ]
     for i, argv in enumerate(BATTERY + file_argv):
         out = outdir / f"run{i:02d}.json"
@@ -164,6 +178,7 @@ def main() -> None:
         _write_cb_problem(base / "cb23.json")
         _write_mixed_problem(base / "mixed.json")
         _write_map(base / "map34.json")
+        _write_scalar_leg(base / "scalar_leg.json")
         dir_a = base / "a"
         dir_b = base / "b"
         dir_a.mkdir()

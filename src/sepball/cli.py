@@ -88,10 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sep-check",
                        help="separability verdict for a positive element")
     p.add_argument("--element", required=True,
-                   help="id_minus:swap:R | id_minus:gue:R | gue:R | "
-                   "extremal:EPS | file:PATH")
-    p.add_argument("--dims", default=None,
-                   help="NxM shorthand for single-block algebras")
+                   help="id_minus:swap:R | id_minus:gue:R | extremal:EPS | "
+                   "file:PATH")
     p.add_argument("--algA", dest="alg_a", default=None,
                    help="comma-separated block sizes of the first algebra")
     p.add_argument("--algB", dest="alg_b", default=None,
@@ -144,17 +142,8 @@ def _parse_blocks(text: str, flag: str) -> algebra.FdAlgebra:
 
 
 def _parse_algebras(args) -> tuple[algebra.FdAlgebra, algebra.FdAlgebra]:
-    if args.dims is not None:
-        toks = args.dims.lower().split("x")
-        if len(toks) != 2:
-            raise SepballError(f"--dims: expected NxM, got {args.dims!r}")
-        try:
-            n, m = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise SepballError(f"--dims: expected NxM, got {args.dims!r}")
-        return algebra.FdAlgebra((n,)), algebra.FdAlgebra((m,))
     if args.alg_a is None or args.alg_b is None:
-        raise SepballError("need either --dims or both --algA and --algB")
+        raise SepballError("need both --algA and --algB")
     return _parse_blocks(args.alg_a, "--algA"), \
         _parse_blocks(args.alg_b, "--algB")
 
@@ -188,9 +177,8 @@ def _parse_element_spec(args) -> algebra.BipartiteElement:
         r = _float_tok(toks[2], spec)
         return algebra.identity_minus(
             separability._directed_element(alg_a, alg_b, r))
-    if (toks[0] == "id_minus" and len(toks) == 3 and toks[1] == "gue") \
-            or (toks[0] == "gue" and len(toks) == 2):
-        r = _float_tok(toks[-1], spec)
+    if toks[0] == "id_minus" and len(toks) == 3 and toks[1] == "gue":
+        r = _float_tok(toks[2], spec)
         rng = sampling.rng_from(0xE1E, args.seed)
         return algebra.identity_minus(
             separability._gue_element(alg_a, alg_b, r, rng))
@@ -264,8 +252,7 @@ def _run_sep_check(args):
 
 
 def _run_gamma_scan(args):
-    alg_a = _parse_blocks(args.alg_a, "--algA")
-    alg_b = _parse_blocks(args.alg_b, "--algB")
+    alg_a, alg_b = _parse_algebras(args)
     radii = tuple(_float_tok(tok, args.radii, "--radii")
                   for tok in args.radii.split(",") if tok)
     rep = separability.sep_ball_scan(alg_a, alg_b, radii,
@@ -283,8 +270,7 @@ def _run_eta(args):
         return jsonio.encode_symbolic_values(values), 0, False, None
     if args.alg_a is None or args.alg_b is None:
         raise SepballError("need --algA/--algB or --rankA/--rankB")
-    alg_a = _parse_blocks(args.alg_a, "--algA")
-    alg_b = _parse_blocks(args.alg_b, "--algB")
+    alg_a, alg_b = _parse_algebras(args)
     report = theorems.rank_formula_report(alg_a, alg_b, seed=args.seed,
                                           samples=args.samples)
     checks = verify.rank_report(report) if args.verify else None

@@ -45,7 +45,7 @@ class LinearMapRep:
 
 
 def transpose_map(n: int) -> LinearMapRep:
-    return LinearMapRep(n, n, matcore.swap_operator(n))
+    return LinearMapRep(n, n, matcore.embedded_swap(n, n, n))
 
 
 def identity_map(n: int) -> LinearMapRep:

@@ -155,15 +155,6 @@ def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def swap_operator(d: int) -> np.ndarray:
-    """The swap F = sum_kl e_kl (x) e_lk on C^d (x) C^d."""
-    f = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            f[i * d + j, j * d + i] = 1.0
-    return f
-
-
 def max_entangled_projector(d: int) -> np.ndarray:
     """P = sum_kl e_kl (x) e_kl, the unnormalized maximally entangled projector."""
     p = np.zeros((d * d, d * d), dtype=np.complex128)

@@ -112,17 +112,19 @@ def verdict(x: algebra.BipartiteElement,
         if not factors:
             continue
         part = x.part(*pair)
+        # the verdict's own rule: lambda_min >= -PSD_SLACK * max(1, ||part||)
+        slack = separability.PSD_SLACK * max(1.0, matcore.operator_norm(part))
         total = np.zeros_like(part)
-        psd_ok = True
+        margins = []
         for (p, q) in factors:
-            psd_ok &= matcore.min_eigenvalue(p) >= -separability.PSD_SLACK
-            psd_ok &= matcore.min_eigenvalue(q) >= -separability.PSD_SLACK
+            margins += [matcore.min_eigenvalue(p) + slack,
+                        matcore.min_eigenvalue(q) + slack]
             total = total + matcore.kron(p, q)
         resid = float(np.max(np.abs(total - part)))
-        checks.append(NamedCheck(
-            f"decomposition-{pair[0]}-{pair[1]}",
-            psd_ok and resid <= DECOMPOSITION_RESIDUAL_TOL,
-            DECOMPOSITION_RESIDUAL_TOL - resid))
+        # np.min keeps a NaN, which then fails the check
+        margin = float(np.min(margins + [DECOMPOSITION_RESIDUAL_TOL - resid]))
+        checks.append(NamedCheck(f"decomposition-{pair[0]}-{pair[1]}",
+                                 margin >= 0, margin))
     return tuple(checks)
 
 

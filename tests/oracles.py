@@ -1,14 +1,15 @@
 """Reference implementations that only the tests compare against.
 
-No command needs these: the level-k amplification of a map as a map of
-its own, the hat functional, the dilation of a contraction, the block
-identity and norm of a bipartite element, random map ensembles, the
-majorizing-pair programs with a scalar block t and with explicit slack
-blocks, the Schur factorization into a second buffer, the dependent-row
-check as one dense pivoted QR of all rows, and the witness and ball scan
-one sample and one eigendecomposition at a time.  The tests keep them
-here, with the same code and seeds as before they left the package, so
-that their numbers do not change.
+No command needs these: the swap built from matrix units, the level-k
+amplification of a map as a map of its own, the hat functional, the
+dilation of a contraction, the block identity and norm of a bipartite
+element, random map ensembles, the majorizing-pair programs with a
+scalar block t and with explicit slack blocks, the Schur factorization
+into a second buffer, the dependent-row check as one dense pivoted QR of
+all rows, and the witness and ball scan one sample and one
+eigendecomposition at a time.  The tests keep them here, with the same
+code and seeds as before they left the package, so that their numbers
+do not change.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ from sepball.separability import (DECISIVE_PAIRS, PairReport,
                                   ScanReport, ScanRow, SepVerdict,
                                   WitnessData, induced_witness_map)
 from sepball.sampling import complex_gaussian, gue
+
+
+def swap(d: int) -> np.ndarray:
+    """F = sum_kl e_kl (x) e_lk on C^d (x) C^d."""
+    e = np.eye(d)
+    return sum(np.kron(np.outer(e[k], e[l]), np.outer(e[l], e[k]))
+               for k in range(d) for l in range(d))
 
 
 def amplify(f: maps.LinearMapRep, k: int) -> maps.LinearMapRep:

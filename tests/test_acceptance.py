@@ -269,11 +269,12 @@ def _cli_battery(outdir) -> list:
         ["cbnorm", "--map", "transpose:3", "--seed", "0"],
         ["cbnorm", "--map", "identity:3", "--verify"],
         ["cbnorm", "--map", "reduction:2"],
-        ["sep-check", "--element", "id_minus:swap:0.5", "--dims", "2x2",
-         "--verify"],
-        ["sep-check", "--element", "extremal:0.05", "--dims", "2x2",
-         "--verify"],
-        ["sep-check", "--element", "gue:0.3", "--dims", "2x3", "--seed", "7"],
+        ["sep-check", "--element", "id_minus:swap:0.5", "--algA", "2",
+         "--algB", "2", "--verify"],
+        ["sep-check", "--element", "extremal:0.05", "--algA", "2",
+         "--algB", "2", "--verify"],
+        ["sep-check", "--element", "id_minus:gue:0.3", "--algA", "2",
+         "--algB", "3", "--seed", "7"],
         ["gamma-scan", "--algA", "2,3", "--algB", "3",
          "--radii", "0.3,0.34,0.4", "--samples", "4", "--verify"],
         ["eta", "--algA", "2,3", "--algB", "4", "--samples", "2"],

@@ -68,7 +68,7 @@ def test_cbnorm_zero_map_is_not_loose(tmp_path, capsys):
 
 def test_sep_check_boundary_swap(capsys):
     code, out, _ = _run(capsys, "sep-check", "--element", "id_minus:swap:0.5",
-                        "--dims", "2x2")
+                        "--algA", "2", "--algB", "2")
     assert code == 0
     doc = json.loads(out)
     assert doc["status"] == "separable-certified"
@@ -76,7 +76,7 @@ def test_sep_check_boundary_swap(capsys):
 
 def test_sep_check_extremal_entangled(capsys):
     code, out, _ = _run(capsys, "sep-check", "--element", "extremal:0.05",
-                        "--dims", "2x2", "--verify")
+                        "--algA", "2", "--algB", "2", "--verify")
     assert code == 0
     doc = json.loads(out)
     assert doc["status"] == "entangled-certified"
@@ -86,7 +86,7 @@ def test_sep_check_extremal_entangled(capsys):
 
 def test_sep_check_refuses_negative_extremal_eps(capsys):
     code, out, err = _run(capsys, "sep-check", "--element", "extremal:-0.5",
-                          "--dims", "2x2")
+                          "--algA", "2", "--algB", "2")
     assert (code, out) == (1, "")
     assert err == "sepball: error: eps must be nonnegative, got -0.5\n"
 
@@ -101,8 +101,8 @@ def test_scan_and_sep_check_share_the_ppt_rule(capsys, radius):
     # the slack 1e-9 * ||part|| = 1.5e-9 still passes; a scan re-check
     # that scaled the slack by 1 used to call that NPT and exit 1.
     code, out, _ = _run(capsys, "sep-check", "--element",
-                        f"id_minus:swap:{radius}", "--dims", "2x2",
-                        "--verify")
+                        f"id_minus:swap:{radius}", "--algA", "2",
+                        "--algB", "2", "--verify")
     assert code == 0
     assert json.loads(out)["status"] == "separable-certified"
     check = _checks(out)["ppt-margin-0-0"]
@@ -116,9 +116,24 @@ def test_scan_and_sep_check_share_the_ppt_rule(capsys, radius):
     assert check["passed"] and check["margin"] > 0
 
 
+def test_sep_check_verifies_scalar_leg_product(tmp_path, capsys):
+    # lambda_min = -5e-8 passes the verdict's slack 1e-9 * ||part|| = 1e-7;
+    # the decomposition re-check used to apply the absolute 1e-9 and exit 1
+    x = algebra.BipartiteElement(algebra.FdAlgebra((1,)), M2,
+                                 (np.diag([100.0, -5e-8]),))
+    path = tmp_path / "element.json"
+    path.write_text(jsonio.dumps(jsonio.encode_element(x)))
+    code, out, _ = _run(capsys, "sep-check", "--element", f"file:{path}",
+                        "--verify")
+    assert code == 0
+    assert json.loads(out)["status"] == "separable-certified"
+    for check in _checks(out).values():
+        assert check["passed"] and check["margin"] >= 0
+
+
 def test_sep_check_strict_undecided(capsys):
     code, out, _ = _run(capsys, "sep-check", "--element", "id_minus:swap:0.0",
-                        "--dims", "3x3", "--strict")
+                        "--algA", "3", "--algB", "3", "--strict")
     assert code == 2
     assert json.loads(out)["status"] == "undecided"
 
@@ -275,10 +290,13 @@ def test_sdp_solve_without_constraints_is_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("sep-check", "--element", "id_minus:swap:nan", "--dims", "2x2"),
-    ("sep-check", "--element", "id_minus:swap:inf", "--dims", "2x2"),
-    ("sep-check", "--element", "gue:-inf", "--dims", "2x2"),
-    ("sep-check", "--element", "extremal:nan", "--dims", "2x2"),
+    ("sep-check", "--element", "id_minus:swap:nan", "--algA", "2",
+     "--algB", "2"),
+    ("sep-check", "--element", "id_minus:swap:inf", "--algA", "2",
+     "--algB", "2"),
+    ("sep-check", "--element", "id_minus:gue:-inf", "--algA", "2",
+     "--algB", "2"),
+    ("sep-check", "--element", "extremal:nan", "--algA", "2", "--algB", "2"),
     ("gamma-scan", "--algA", "2", "--algB", "2", "--radii", "nan"),
     ("gamma-scan", "--algA", "2", "--algB", "2", "--radii", "0.3,inf"),
     ("gamma-scan", "--algA", "2", "--algB", "2", "--radii", ","),
@@ -332,7 +350,8 @@ def test_non_finite_json_numbers_are_one_line_errors(tmp_path, capsys,
 
 _BASE_ARGV = {
     "cbnorm": ("cbnorm", "--map", "transpose:2"),
-    "sep-check": ("sep-check", "--element", "extremal:0.05", "--dims", "2x2"),
+    "sep-check": ("sep-check", "--element", "extremal:0.05",
+                  "--algA", "2", "--algB", "2"),
     "gamma-scan": ("gamma-scan", "--algA", "2", "--algB", "2",
                    "--radii", "0.4", "--samples", "1"),
     "eta": ("eta", "--rankA", "2", "--rankB", "3"),
@@ -345,7 +364,7 @@ _BASE_ARGV = {
 @pytest.mark.parametrize("command,flag", [
     ("cbnorm", "--tol-psd"), ("cbnorm", "--tol-gap"), ("cbnorm", "--threads"),
     ("sep-check", "--tol-psd"), ("sep-check", "--tol-gap"),
-    ("sep-check", "--threads"),
+    ("sep-check", "--threads"), ("sep-check", "--dims"),
     ("gamma-scan", "--tol-psd"), ("gamma-scan", "--tol-gap"),
     ("eta", "--tol-gap"), ("eta", "--threads"), ("eta", "--strict"),
     ("eta", "--tol-psd"),
@@ -394,9 +413,14 @@ def test_missing_file_is_error(capsys):
     assert code == 1
 
 
-def test_bad_constructor_is_error(capsys):
-    code, out, err = _run(capsys, "cbnorm", "--map", "bogus:3")
-    assert code == 1
+@pytest.mark.parametrize("argv", [
+    ("cbnorm", "--map", "bogus:3"),
+    ("sep-check", "--element", "gue:0.3", "--algA", "2", "--algB", "2"),
+], ids=["cbnorm-bogus", "sep-check-gue"])
+def test_bad_constructor_is_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("sepball: error: ") and err.count("\n") == 1
 
 
 def test_usage_error_is_exit_one(capsys):
@@ -418,8 +442,8 @@ def test_output_file_and_byte_identical(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     for out in (out1, out2):
-        code = cli.dispatch(["sep-check", "--element", "gue:0.3",
-                             "--dims", "2x2", "--seed", "7",
+        code = cli.dispatch(["sep-check", "--element", "id_minus:gue:0.3",
+                             "--algA", "2", "--algB", "2", "--seed", "7",
                              "--out", str(out)])
         capsys.readouterr()
         assert code == 0
@@ -511,7 +535,8 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
     scan = ["gamma-scan", "--algA", "2", "--algB", "1,2", "--radii",
             "0.3,0.45", "--samples", "2", "--threads", "1", "--seed", "7"]
     sequence = [scan + ["--verify"],
-                ["sep-check", "--element", "extremal:0.05", "--dims", "2x2"],
+                ["sep-check", "--element", "extremal:0.05",
+                 "--algA", "2", "--algB", "2"],
                 scan + ["--bogus"],
                 scan,
                 scan + ["--verify"]]

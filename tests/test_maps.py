@@ -19,8 +19,7 @@ def _random_map(seed, n, m):
 
 
 def test_choi_conventions():
-    nptest.assert_allclose(maps.transpose_map(2).choi,
-                           matcore.swap_operator(2))
+    nptest.assert_allclose(maps.transpose_map(2).choi, oracles.swap(2))
     nptest.assert_allclose(maps.identity_map(3).choi,
                            matcore.max_entangled_projector(3))
     nptest.assert_allclose(maps.reduction_map(2).choi,
@@ -69,7 +68,7 @@ def test_amplify_identity():
 def test_amplify_transpose_on_swap():
     # (Id_2 (x) T)(F) is the partial transpose of F on its second leg
     amp = oracles.amplify(maps.transpose_map(2), 2)
-    f = matcore.swap_operator(2)
+    f = matcore.embedded_swap(2, 2, 2)
     nptest.assert_allclose(maps.apply_to_second_leg(amp, f, 1),
                            matcore.max_entangled_projector(2), atol=1e-12)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from sepball import matcore
 from sepball.errors import ConvergenceError, DimensionError, HermiticityError
 
@@ -88,7 +89,7 @@ def test_kron_product_oracle():
 
 
 def test_swap_oracle_d2():
-    f = matcore.swap_operator(2)
+    f = matcore.embedded_swap(2, 2, 2)
     nptest.assert_allclose(np.linalg.eigvalsh(f), [-1.0, 1.0, 1.0, 1.0])
     nptest.assert_allclose(f @ f, np.eye(4))
     # F (u tensor v) = v tensor u
@@ -107,7 +108,7 @@ def test_max_entangled_projector_oracle():
 
 def test_swap_partial_transpose_is_projector():
     for d in (2, 3):
-        f = matcore.swap_operator(d)
+        f = matcore.embedded_swap(d, d, d)
         p = matcore.max_entangled_projector(d)
         nptest.assert_allclose(
             matcore.partial_transpose(f, (d, d), "second"), p)
@@ -160,7 +161,7 @@ def test_partial_trace_oracles():
         matcore.partial_trace(x, (2, 3), "first"), np.trace(a) * b)
     nptest.assert_allclose(
         matcore.partial_trace(x, (2, 3), "second"), np.trace(b) * a)
-    f = matcore.swap_operator(2)
+    f = matcore.embedded_swap(2, 2, 2)
     nptest.assert_allclose(matcore.partial_trace(f, (2, 2), "first"),
                            np.eye(2))
 
@@ -178,8 +179,9 @@ def test_matrix_unit():
 
 
 def test_embedded_swap_matches_corner():
-    f = matcore.embedded_swap(2, 2, 2)
-    nptest.assert_allclose(f, matcore.swap_operator(2))
+    for d in (1, 2, 3):
+        nptest.assert_array_equal(matcore.embedded_swap(d, d, d),
+                                  oracles.swap(d))
     g = matcore.embedded_swap(2, 3, 4)
     # action survives on the corner, vanishes off it
     for i in range(2):

@@ -22,7 +22,7 @@ def _rng(seed):
 
 
 def test_ppt_check_on_swap_perturbation():
-    x = _single(M2, M2, np.eye(4) - 0.6 * matcore.swap_operator(2))
+    x = _single(M2, M2, np.eye(4) - 0.6 * matcore.embedded_swap(2, 2, 2))
     ok, margins = separability.ppt_check(x)
     assert not ok
     assert abs(margins[0] + 0.2) < 1e-12
@@ -42,7 +42,7 @@ def test_ppt_check_scales_tolerance_and_skips_needless_norms(monkeypatch):
                         lambda m: calls.append(1) or norm(m))
     # margin -1 passes -slack * ||part|| = -10 but not -slack: the norm decides
     monkeypatch.setattr(separability, "PSD_SLACK", 1e-3)
-    part = 1e4 * np.eye(4) - (1e4 + 1.0) * matcore.swap_operator(2) / 2
+    part = 1e4 * np.eye(4) - (1e4 + 1.0) * matcore.embedded_swap(2, 2, 2) / 2
     big = _single(M2, M2, part)
     ok, margins = separability.ppt_check(big)
     assert abs(margins[0] + 1.0) < 1e-9 and ok and len(calls) == 1
@@ -144,7 +144,7 @@ def test_extremal_entangled_ppt_margin():
 
 def test_boundary_swap_is_separable():
     x = algebra.identity_minus(
-        _single(M2, M2, 0.5 * matcore.swap_operator(2)))
+        _single(M2, M2, 0.5 * matcore.embedded_swap(2, 2, 2)))
     verdict = separability.entanglement_witness(x)
     assert verdict.status == "separable-certified"
     assert verdict.margin >= -1e-12
@@ -174,7 +174,7 @@ def test_scalar_leg_decomposition():
 
 def test_conjunction_any_entangled_wins():
     a = algebra.FdAlgebra((2, 2))
-    f = matcore.swap_operator(2)
+    f = matcore.embedded_swap(2, 2, 2)
     parts = {(0, 0): np.eye(4), (1, 0): np.eye(4) - 0.6 * f}
     x = algebra.assemble(a, M2, parts)
     x = algebra.BipartiteElement(
@@ -223,7 +223,7 @@ def test_induced_witness_map_roundtrip():
 
 
 def test_dilation_embed_norm_and_shape():
-    x = _single(M2, M2, 0.5 * matcore.swap_operator(2))
+    x = _single(M2, M2, 0.5 * matcore.embedded_swap(2, 2, 2))
     y = oracles.dilation_embed(x, 0.5)
     assert y.alg_a == M2
     assert y.alg_b.blocks == (4,)
@@ -235,7 +235,7 @@ def test_dilation_embed_norm_and_shape():
 
 
 def test_dilation_embed_separable_at_gamma():
-    x = _single(M2, M2, matcore.swap_operator(2))
+    x = _single(M2, M2, matcore.embedded_swap(2, 2, 2))
     y = oracles.dilation_embed(x, 0.5)
     verdict = separability.entanglement_witness(y)
     assert verdict.status != "entangled-certified"

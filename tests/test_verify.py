@@ -44,6 +44,21 @@ def test_verdict_checks_per_status():
     assert _names(verify.verdict(und, v)) == ["undecided-nothing-to-verify"]
 
 
+def test_decomposition_check_uses_the_verdict_slack(monkeypatch):
+    # lambda_min = -5e-8 against the slack 1e-9 * ||part|| = 1e-7 passes;
+    # at a tenth of the slack the same factor fails, with a negative margin
+    x = algebra.BipartiteElement(algebra.FdAlgebra((1,)), M2,
+                                 (np.diag([100.0, -5e-8]),))
+    v = separability.entanglement_witness(x)
+    assert v.status == "separable-certified"
+    check = verify.verdict(x, v)[-1]
+    assert _names([check]) == ["decomposition-0-0"] and check.passed
+    monkeypatch.setattr(separability, "PSD_SLACK", 1e-10)
+    check = verify.verdict(x, v)[-1]
+    assert _names([check]) == ["decomposition-0-0"] and not check.passed
+    assert abs(check.margin + 4e-8) < 1e-15
+
+
 def test_scan_checks():
     rep = separability.sep_ball_scan(M2, M2, (0.4, 0.6), samples=1)
     checks = verify.scan(rep)
