@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sepball import algebra, cbnorm, cli, jsonio, maps, sdp
+from sepball import algebra, cbnorm, cli, jsonio, maps, matcore, sdp
 
 BATTERY = [
     ["cbnorm", "--map", "transpose:2"],
@@ -66,8 +66,8 @@ def _write_problem(path: Path) -> None:
 
 def _write_cb_problem(path: Path) -> None:
     """The majorizing-pair program of a fixed general map M_2 -> M_3
-    (p = 89): 72 cell slots and 17 dense rows, and each row owns an
-    entry."""
+    (p = 89: 72 pair rows and 17 trace rows, each owning an entry), which
+    sdp-solve runs through the dense Cholesky."""
     rng = np.random.default_rng(0x23)
     choi = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     prob = cbnorm._upper_problem(maps.LinearMapRep(2, 3, choi))
@@ -77,7 +77,7 @@ def _write_cb_problem(path: Path) -> None:
 def _write_mixed_problem(path: Path) -> None:
     """Entrywise rows (complex off-diagonal pairs, a diagonal unit) beside
     dense ones (E_00 + E_11 and a random Hermitian row across both
-    blocks), so both ways of forming the Schur complement run."""
+    blocks)."""
     rng = np.random.default_rng(0x5C4)
     blocks = (3, 2)
 
@@ -125,6 +125,25 @@ def _write_map(path: Path) -> None:
     path.write_text(jsonio.dumps(jsonio.encode_map(f)))
 
 
+def _write_decomposable(path: Path) -> None:
+    """A fixed decomposable positive map Phi_1 + T o Phi_2 on M_5, each
+    Phi_j with two Kraus operators of rank 4: the closed form leaves its
+    cb norm 35 % open, so the SDP (p = 1299) answers it."""
+    rng = np.random.default_rng(0x55)
+    chois = []
+    for _ in range(2):
+        choi = np.zeros((25, 25), dtype=np.complex128)
+        for _ in range(2):
+            a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                    for s in ((5, 4), (4, 5)))
+            v = (a @ b).T.reshape(-1)
+            choi += np.outer(v, v.conj())
+        chois.append(choi)
+    f = maps.LinearMapRep(
+        5, 5, chois[0] + matcore.partial_transpose(chois[1], (5, 5)))
+    path.write_text(jsonio.dumps(jsonio.encode_map(f)))
+
+
 def _write_scalar_leg(path: Path) -> None:
     """diag(100, -5e-8) on (1,) x (2,): a product whose factor's
     eigenvalue -5e-8 lies within the verdict's slack 1e-9 * ||part||."""
@@ -143,6 +162,7 @@ def run_battery(outdir: Path, inputs: Path) -> list[bytes]:
         ["sdp-solve", "--problem", str(inputs / "cb23.json"), "--verify"],
         ["sep-check", "--element", f"file:{inputs / 'scalar_leg.json'}",
          "--verify"],
+        ["cbnorm", "--map", f"file:{inputs / 'dec55.json'}", "--verify"],
     ]
     for i, argv in enumerate(BATTERY + file_argv):
         out = outdir / f"run{i:02d}.json"
@@ -179,6 +199,7 @@ def main() -> None:
         _write_mixed_problem(base / "mixed.json")
         _write_map(base / "map34.json")
         _write_scalar_leg(base / "scalar_leg.json")
+        _write_decomposable(base / "dec55.json")
         dir_a = base / "a"
         dir_b = base / "b"
         dir_a.mkdir()

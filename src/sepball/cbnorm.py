@@ -34,6 +34,16 @@ it is rigorous at any solver accuracy.
 Many maps need no program: ``closed_form`` pairs the polar parts of
 the Choi matrix with two fixed contractions, and ``cb_norm`` solves the
 program only where that sandwich stays open.
+
+The program has p = 2q^2 + 2m^2 - 1 rows, and ``sdp.solve`` runs it
+with its own Newton system, ``_UpperSystem``, which never forms the
+p x p Schur matrix.  Per iteration it takes the NT factor W = G G* in
+the scaled frame of Todd, Toh and Tutuncu (SIAM J. Optim. 8, 1998) and
+rotates it into the principal angles between the ranges of G's two
+halves (Bjorck and Golub, Math. Comp. 27, 1973).  There the Schur block
+of the 2q^2 pair rows is block diagonal in 2 x 2 blocks with a
+closed-form Cholesky factor, and only the 2m^2 - 1 trace rows get a
+dense Cholesky, of their Schur complement.
 """
 
 from __future__ import annotations
@@ -89,18 +99,29 @@ class CbNormResult:
     loose: bool
 
 
+def _trace_rows(m: int) -> np.ndarray:
+    """The (2 m^2 - 1, 2, m, m) matrices h_1, h_2 of the rows
+    <1_n (x) h_1, Y_11> + <1_n (x) h_2, Y_22> = 0 of ``_upper_problem``:
+    (h, -h) for h in ``sdp.hermitian_basis(m)``, then (h, 0) for its
+    traceless h (E_kk - E_{m-1,m-1} for k < m - 1, and its off-diagonal
+    elements)."""
+    basis = np.array(sdp.hermitian_basis(m))  # E_kk (trace 1) come first
+    hs = np.zeros((2 * m * m - 1, 2, m, m), dtype=np.complex128)
+    hs[:m * m, 0], hs[:m * m, 1] = basis, -basis
+    hs[m * m:, 0] = np.concatenate([basis[:m - 1] - basis[m - 1], basis[m:]])
+    return hs
+
+
 def _upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
     """The majorizing-pair program for psi, its rows written as entries.
 
     One block Y = [[Y_11, B], [B*, Y_22]] of size 2q (q = nm) and
-    objective Tr Y.  Rows 2k and 2k + 1 (k = u q + w) fix the real and
-    imaginary parts of entry (u, w) of Y's off-diagonal block to those of
-    B = Choi(psi).  The next m^2 rows set <1_n (x) h, Y_11 - Y_22> = 0 for
-    h in ``sdp.hermitian_basis(m)``, that is Tr_1 Y_11 = Tr_1 Y_22; the
-    last m^2 - 1 rows set <1_n (x) h, Y_11> = 0 for the traceless h
-    E_kk - E_{m-1,m-1} (k < m - 1) and the basis's off-diagonal elements,
-    that is Tr_1 Y_11 = t 1 for some t.  Then Tr Y = 2 m t, and the
-    identity start of ``sdp.solve`` is dual feasible.
+    objective Tr Y.  Rows 2k and 2k + 1 (k = u q + w), the pair rows, fix
+    the real and imaginary parts of entry (u, w) of Y's off-diagonal block
+    to those of B = Choi(psi).  The other 2 m^2 - 1 rows, the trace rows
+    of ``_trace_rows``, set Tr_1 Y_11 = Tr_1 Y_22 (the first m^2) and
+    Tr_1 Y_11 = t 1 for some t (the last m^2 - 1).  Then Tr Y = 2 m t,
+    and the identity start of ``sdp.solve`` is dual feasible.
     """
     n, m = psi.dim_in, psi.dim_out
     q = n * m
@@ -114,23 +135,136 @@ def _upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
     entries = [(2 * k, upper, one), (2 * k, lower, one),
                (2 * k + 1, upper, 1j * one), (2 * k + 1, lower, -1j * one)]
 
-    basis = np.array(sdp.hermitian_basis(m))  # E_kk (trace 1) come first
-    traceless = np.concatenate([basis[:m - 1] - basis[m - 1], basis[m:]])
-    # (first row, matrices h, offset of Y_jj, sign) of <1_n (x) h, Y_jj>
-    for first, hs, off, sign in ((p_pair, basis, 0, 1), (p_pair, basis, q, -1),
-                                 (p_pair + m * m, traceless, 0, 1)):
-        t, a, c = np.nonzero(hs)
-        for i in range(n):
-            o = off + i * m
-            entries.append((first + t, (o + a) * big + o + c,
-                            sign * hs[t, a, c]))
+    hs = _trace_rows(m)
+    t, j, a, c = np.nonzero(hs)
+    for i in range(n):
+        o = j * q + i * m  # the block Y_jj, its diagonal block i
+        entries.append((p_pair + t, (o + a) * big + o + c, hs[t, j, a, c]))
 
-    p = p_pair + 2 * m * m - 1
+    p = p_pair + len(hs)
     r, col, val = (np.concatenate(x) for x in zip(*entries))
     rows = scipy.sparse.csr_matrix((val, (r, col)), shape=(p, big * big))
     rhs = np.zeros(p)
     rhs[:p_pair] = 2.0 * psi.choi.ravel().view(np.float64)  # re, im, ...
     return sdp.SdpProblem.from_rows((big,), [np.eye(big)], rhs, (rows,))
+
+
+class _UpperSystem:
+    """The Newton system of ``_upper_problem``, solved without its Schur
+    matrix M (see ``sdp.solve`` for the interface).
+
+    Write W = G G* for the NT scaling and G_1, G_2 for the first and last
+    q rows of G.  Take G_j* = Q_j R_j (reduced QR) and Q_1* Q_2 =
+    U diag(sigma) V*: the sigma_i are the cosines of the principal angles
+    between the ranges of G_1* and G_2* (Bjorck and Golub, Math. Comp. 27,
+    1973), and their squared sines s_i^2 are the squared column norms of
+    Q_2 V - Q_1 U diag(sigma).  A pair-row dual D (q x q complex, the
+    rows' y as D_uw = y_2k + i y_2k+1) meets the pair rows in
+    2 L^T K L, where L D = U* R_1 D R_2* V and K E = E + diag(sigma)
+    E* diag(sigma): in E's entries that is 2 x 2 blocks coupling E_ij and
+    E_ji through [[1, c], [c, 1]] (real parts) and [[1, -c], [-c, 1]]
+    (imaginary parts), c = sigma_i sigma_j, and the scalars 1 + sigma_i^2
+    (real) and s_i^2 (imaginary) on the diagonal.  So the pair block is
+    T^T T with T = sqrt(2) C^T L, C the blocks' Cholesky factors, whose
+    1 - c^2 is formed as s_i^2 + s_j^2 - s_i^2 s_j^2; applying T^-T or
+    T^-1 takes two q x q products and entrywise arithmetic.  Only the
+    2 m^2 - 1 trace rows get a dense Cholesky, of the Schur complement
+    S = M_tt - F^T F with F = T^-T M_pt, which ``factor`` forms as a Gram
+    matrix with no cancellation.  A zero sine makes T singular, and the
+    factorization fails.  Arrays are O(m^2 q^2); M would take 8 p^2
+    bytes.
+    """
+
+    def __init__(self, problem: sdp.SdpProblem, n: int, m: int):
+        self.n, self.m, self.q = n, m, n * m
+        self.hs = _trace_rows(m)
+        self.lower = np.tri(self.q, k=-1, dtype=bool)
+        rows = problem.rows[0]
+        self.rows_conj, self.rows_t = rows.conj().tocsr(), rows.T.tocsr()
+
+    def factor(self, scal):
+        (w, g, _, _), = scal
+        self.w = w
+        n, m, q, hs = self.n, self.m, self.q, self.hs
+        try:
+            (q1, q2), r = np.linalg.qr(g.reshape(2, q, 2 * q).conj().swapaxes(
+                1, 2))
+            u, sig, vh = np.linalg.svd(q1.conj().T @ q2)
+            uv = np.stack([u, vh.conj().T])
+            s = np.linalg.norm(q2 @ uv[1] - q1 @ (u * sig), axis=0)  # sines
+            if not s.all():
+                return None
+            inv_uv = np.linalg.solve(r, uv)  # R_j^-1 (U, V)
+        except np.linalg.LinAlgError:
+            return None
+        # L^-T E = left E right and L^-1 E = left* E right*
+        self.left, self.right = inv_uv[0].conj().T.copy(), inv_uv[1]
+        self.left_h, self.right_h = inv_uv[0], inv_uv[1].conj().T.copy()
+        s2 = s * s
+        c, ss = np.outer(sig, sig), np.outer(s, s)
+        t = np.sqrt(s2[:, None] + s2[None, :] - np.outer(s2, s2))  # 1 - c^2
+        diag = np.diag_indices(q)
+        # T^-T E = (L^-T E) o a + conj(L^-T E)^T o b, entrywise, and
+        # T^-1 E = L^-1 (E o a + conj(E)^T o b^T)
+        a = np.where(self.lower, 1.0 / t, 1.0)
+        b = np.where(self.lower, -c / t, 0.0)
+        re, im = 1.0 / np.sqrt(1.0 + sig * sig), 1.0 / s
+        a[diag], b[diag] = (re + im) / 2.0, (re - im) / 2.0
+        self.a, self.b = a / np.sqrt(2.0), b / np.sqrt(2.0)
+
+        # The trace rows in L's frame: with Ut = R_1* U and Vt = R_2* V,
+        # W_11 = Ut Ut*, W_22 = Vt Vt* and W_12 = Ut diag(sigma) Vt*, so
+        # for H_1 = Ut* (1_n (x) h_1) Ut and H_2 = Vt* (1_n (x) h_2) Vt
+        # their Schur columns are L^T of 2 (H_1 diag(sigma) + diag(sigma)
+        # H_2).  F = T^-T of them and S are then entrywise in H_1 and H_2,
+        # written so that no 1 / s or 1 / t enters and S is a Gram matrix:
+        # the large parts cancel exactly (H_j Hermitian, c^2 + t^2 = 1).
+        d = len(hs)
+        frames = (r.conj().swapaxes(1, 2) @ uv).reshape(2, n, m * q)
+        legs = frames.conj().swapaxes(1, 2) @ frames  # [(r, x), (s, y)]
+        legs = legs.reshape(2, m, q, m, q).transpose(0, 1, 3, 2, 4)
+        h = hs.transpose(1, 0, 2, 3).reshape(2, d, m * m) @ legs.reshape(
+            2, m * m, q * q)
+        del legs
+        h1, h2 = h.reshape(2, d, q, q)
+        f1 = np.where(self.lower, s2[:, None] / t, 1.0) * sig
+        f2 = np.where(self.lower, s2 / t, 1.0) * sig[:, None]
+        f1[diag] = f2[diag] = sig * re
+        f = h1 * (np.sqrt(2.0) * f1)
+        f += h2 * (np.sqrt(2.0) * f2)
+        self.f = f.view(np.float64).reshape(d, -1)
+        h1 -= c * h2  # S = sum_j G_j G_j^T, G_j formed in h's storage
+        h1 *= ss / t
+        h2 *= ss
+        gram = h.view(np.float64).reshape(2, d, -1)
+        schur = gram[0] @ gram[0].T + gram[1] @ gram[1].T
+        for reg in sdp.cholesky_shifts(schur):
+            try:
+                chol = np.linalg.cholesky(schur + reg * np.eye(d))
+            except np.linalg.LinAlgError:
+                continue
+            self.l_inv = np.linalg.inv(chol)
+            return self
+        return None
+
+    def solve(self, rhs) -> np.ndarray:
+        """M y = rhs, refined once against the rows' own product
+        M y = A(W A*(y) W): the steps through T are not backward stable
+        on their own once W is ill-conditioned."""
+        y = self._solve(rhs)
+        big = 2 * self.q
+        x = self.w @ (self.rows_t @ y).reshape(big, big) @ self.w
+        return y + self._solve(rhs - np.real(self.rows_conj @ x.ravel()))
+
+    def _solve(self, rhs) -> np.ndarray:
+        q, pp = self.q, 2 * self.q * self.q
+        z = self.left @ rhs[:pp].view(np.complex128).reshape(q, q) @ self.right
+        z = (z * self.a + z.T.conj() * self.b).view(np.float64).ravel()
+        y_t = self.l_inv.T @ (self.l_inv @ (rhs[pp:] - self.f @ z))
+        e = (z - self.f.T @ y_t).view(np.complex128).reshape(q, q)
+        e = e * self.a + (e.conj() * self.b).T
+        y_p = self.left_h @ e @ self.right_h
+        return np.concatenate([y_p.view(np.float64).ravel(), y_t])
 
 
 def _certified_pair(psi: maps.LinearMapRep, sol: sdp.SdpSolution,
@@ -194,7 +328,8 @@ def cb_upper_sdp(psi: maps.LinearMapRep):
     """
     scale = matcore.operator_norm(psi.choi) or 1.0
     unit = maps.LinearMapRep(psi.dim_in, psi.dim_out, psi.choi / scale)
-    sol = sdp.solve(_upper_problem(unit))
+    problem = _upper_problem(unit)
+    sol = sdp.solve(problem, _UpperSystem(problem, psi.dim_in, psi.dim_out))
     if sol.status != "optimal":
         raise ConvergenceError(
             f"cb upper-bound program ended with status {sol.status}: "

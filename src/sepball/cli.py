@@ -157,18 +157,20 @@ def _parse_map_spec(spec: str) -> maps.LinearMapRep:
     except ValueError:
         raise SepballError(f"--map: expected '{head}:N' with integer N, "
                            f"got {spec!r}")
-    if head == "transpose":
-        return maps.transpose_map(n)
-    if head == "identity":
-        return maps.identity_map(n)
-    if head == "reduction":
-        return maps.reduction_map(n)
-    raise SepballError(f"--map: unknown constructor {head!r}")
+    build = {"transpose": maps.transpose_map, "identity": maps.identity_map,
+             "reduction": maps.reduction_map}.get(head)
+    if build is None:
+        raise SepballError(f"--map: unknown constructor {head!r}")
+    maps.check_size(n, n)
+    return build(n)
 
 
 def _parse_element_spec(args) -> algebra.BipartiteElement:
     spec = args.element
     if spec.startswith("file:"):
+        if args.alg_a is not None or args.alg_b is not None:
+            raise SepballError("--algA/--algB: a file: element carries its "
+                               "own algebras")
         path = spec[len("file:"):]
         return jsonio.decode_element(jsonio.load_document(path), path=path)
     alg_a, alg_b = _parse_algebras(args)

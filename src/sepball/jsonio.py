@@ -150,6 +150,7 @@ def encode_map(f: maps.LinearMapRep) -> dict:
 def decode_map(obj, path: str = "map") -> maps.LinearMapRep:
     n = _int(_get(obj, "dimIn", path), f"{path}.dimIn")
     m = _int(_get(obj, "dimOut", path), f"{path}.dimOut")
+    maps.check_size(n, m)
     choi = decode_matrix(_get(obj, "choi", path), f"{path}.choi")
     try:
         return maps.LinearMapRep(n, m, choi)

@@ -14,7 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .errors import DimensionError
+from .errors import DimensionError, SizeCapError
+
+MAP_SIZE_CAP = 144  # largest dim_in * dim_out of a map read from input
+
+
+def check_size(n: int, m: int) -> None:
+    """Refuse a map M_n -> M_m with n m above ``MAP_SIZE_CAP``, before its
+    Choi matrix of (n m)^2 entries is built."""
+    if n > 0 and m > 0 and n * m > MAP_SIZE_CAP:
+        raise SizeCapError(
+            f"map size {n} * {m} exceeds the cap {MAP_SIZE_CAP}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ The first leg of a bipartite matrix is always the n-dimensional one.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, DimensionError, HermiticityError
 
@@ -78,18 +77,17 @@ def eig_hermitian(m):
     """
     a = check_hermitian(m)
     try:
-        w, v = scipy.linalg.eigh(a, driver="ev")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - pathological
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
         raise ConvergenceError(f"Hermitian eigensolver hit its iteration limit: {exc}")
-    return w, v
 
 
 def eigvals_hermitian(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending, without eigenvectors."""
     a = check_hermitian(m)
     try:
-        return scipy.linalg.eigvalsh(a, driver="ev")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - pathological
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
         raise ConvergenceError(f"Hermitian eigensolver hit its iteration limit: {exc}")
 
 

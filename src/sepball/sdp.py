@@ -14,22 +14,18 @@ through a doubled real embedding.
 Constraint rows are stored once, as one CSR matrix per block.  A solve
 first drops dependent rows, named in the solution's message: rows that
 own an entry are kept, and a pivoted QR decides the rest
-(``_independent_rows``).  The kept rows come in two kinds, sorted once
-per solve.  An entrywise row sits in one block as r (E_ab + E_ba) or
-s (i E_ab - i E_ba) (a < b, r and s real) or as v E_aa (v real): the
-real or the imaginary slot of the cell (a, b).
-Between two cells of one block the four Schur entries Tr(A_i W A_j W)
-of their slots are real and imaginary parts of P +- Q, where P and Q are
-products of two entries of W (the structured Schur formulas of
-Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), so that square of
-the Schur matrix costs O(1) per entry and needs no stacks; it is zero
-across blocks.  Every other row is dense: it is expanded to its (d, d)
-matrices, pays O(d^3) per block for W A_j W, and meets the other dense
-rows in one sparse product.  The Schur matrix and the kernel's workspace
-are allocated once per solve and refilled in place in every iteration;
-the Cholesky factorization overwrites the Schur matrix, so a solve keeps
-one p x p array.  A problem without entrywise rows runs exactly the
-dense arithmetic.
+(``_independent_rows``).  Each Newton step solves M dy = r for the Schur
+matrix M_ij = sum_blocks Tr(A_i W A_j W) of the NT scaling W, through a
+Newton-system object that is factored once per iteration and solved
+twice.  By default that is ``_DenseSystem``: M = B B^T for the scaled
+rows B_i = G* A_i G (W = G G*), factored by a dense Cholesky in a buffer
+allocated once per solve.  A caller that knows its rows' structure
+passes its own system.  ``cbnorm`` does so for its program: in the NT
+factor's frame (Todd, Toh and Tutuncu, below), rotated into the
+principal angles between the ranges of G's two halves (Bjorck and Golub,
+Math. Comp. 27, 1973), the Schur block of its pair rows splits into
+2 x 2 blocks, and only its few trace rows get a dense Cholesky, so M is
+never formed.
 
 The search direction is the Nesterov-Todd one with a Mehrotra
 predictor-corrector, formed in the scaled frame of Todd, Toh and
@@ -61,10 +57,6 @@ GAP_TOL = 1e-9  # relative duality gap of an optimal iterate
 STEP_FRACTION = 0.98
 DIVERGENCE_SCALE = 1e8
 LOOSE_MERIT = 1e-7  # accept early-terminated iterates up to this KKT merit
-# Cell pairs per chunk of ``_cell_schur``: its workspace is three complex
-# arrays of this many entries (more only where a block has more cells),
-# allocated once per solve and small enough to stay in cache.
-CHUNK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -185,15 +177,10 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
 
 
 class _Compiled:
-    """Constraint data in the solver's row order, and the Schur buffer.
+    """Constraint data in the solver's row order.
 
-    Dependent rows are dropped (``_independent_rows``) and the rest sorted
-    once (see ``_entrywise_cells`` and ``_Cells``): per block the slots of
-    its cells, then the dense rows in problem order; ``keep[i]`` is the
-    problem row of row i.  Only the dense rows get a (p_dense, d, d)
-    stack.  The p x p Schur buffer, which also takes its Cholesky factor,
-    and the kernel's workspace are allocated here, once per solve, and
-    refilled in every iteration.
+    Dependent rows are dropped (``_independent_rows``); the rest keep
+    their problem order, and ``keep[i]`` is the problem row of row i.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -214,35 +201,14 @@ class _Compiled:
                     f"constraint {bad} is a linear combination of the others "
                     "but its right-hand side disagrees"))
 
-        self.cells = {}  # block: its _Cells
-        self.p_cells = 0
-        for j, found in enumerate(_entrywise_cells(rows, self.blocks)):
-            if len(found[0]):
-                self.cells[j] = _Cells(self.p_cells, self.blocks[j], *found)
-                self.p_cells += len(found[0])
-        order = np.concatenate([np.zeros(0, dtype=np.intp)] + [
-            c.rows for c in self.cells.values()])
-        dense = np.ones(len(keep), dtype=bool)
-        dense[order] = False
-        order = np.concatenate([order, np.flatnonzero(dense)])
-        self.keep = keep[order]
-        self.b = b[self.keep]
-        self.p = len(self.keep)
-        self.csr = [r[order] for r in rows]
+        self.keep = keep
+        self.b = b[keep]
+        self.p = len(keep)
+        self.csr = list(rows)
         self.csr_conj = [a.conj().tocsr() for a in self.csr]
         self.csr_t = [a.T.tocsr() for a in self.csr]
-        self.dense_conj = [a[self.p_cells:] for a in self.csr_conj]
-        self.stacks = [r[self.p_cells:].toarray().reshape(-1, d, d)
-                       for r, d in zip(self.csr, self.blocks)]
-        # r or s of the cell rows, 1 for the dense rows
-        self.scale = np.concatenate([c.scale for c in self.cells.values()]
-                                    + [np.ones(self.p - self.p_cells)])
         self.norm_b = float(np.linalg.norm(self.b))
         self.norm_c = float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in self.C)))
-
-        self.m = np.zeros((self.p, self.p))
-        chunk = max((c.step * c.n for c in self.cells.values()), default=0)
-        self.work = [np.empty(chunk, dtype=np.complex128) for _ in range(3)]
 
     def apply(self, xs) -> np.ndarray:
         """A(X): the vector of constraint values."""
@@ -255,183 +221,85 @@ class _Compiled:
         """A*(y): one Hermitian matrix per block."""
         return [(a @ y).reshape(d, d) for a, d in zip(self.csr_t, self.blocks)]
 
-    def schur(self, ws) -> np.ndarray:
-        """M_ij = sum_blocks Tr(A_i W A_j W) / (scale_i scale_j) for the NT
-        scaling W, written into the Schur buffer, which is returned.
 
-        The division makes every cell slot a unit one, so the kernels
-        need no coefficients; ``_solve_factored`` scales back.  Each
-        block's square of cell rows comes from entries of W
-        (``_cell_schur``), and its cell rows meet the dense rows j in
-        entries of W A_j W (``_dense_cross``); cell rows of two blocks
-        meet in zeros, which are never written.  They stay zero after a
-        factorization in place: cell rows come before the dense rows, so
-        the Cholesky factor is exactly zero there too.  Only the square of
-        dense rows is averaged with its transpose.
+def cholesky_shifts(m) -> list[float]:
+    """The shifts reg, in the order tried, of a Cholesky factorization of
+    the symmetric m + reg 1 that retries on failure: 0, then rising
+    multiples of m's mean diagonal entry (or of 1, if that is smaller)."""
+    base = max(1.0, float(np.trace(m)) / max(1, len(m)))
+    return [0.0] + [base * 10.0 ** k for k in range(-14, -5, 3)]
+
+
+class _DenseSystem:
+    """The Newton system of any problem, solved by a dense Cholesky
+    factorization of its Schur matrix M_ij = sum_blocks Tr(A_i W A_j W).
+
+    With W = G G*, M_ij = Re <G* A_i G, G* A_j G>, so M = B B^T for the
+    real and imaginary parts B of the scaled rows G* A_i G: one symmetric
+    product.  Each row is held as a dense (d, d) matrix per block, and
+    M is formed and factored for the rows divided by ``scale``.  The
+    row stacks, B and the p x p Schur buffer are allocated once per solve;
+    the factorization overwrites the buffer, so a solve holds one p x p
+    array.
+    """
+
+    def __init__(self, comp: _Compiled):
+        self.stacks = [r.toarray().reshape(-1, d, d)
+                       for r, d in zip(comp.csr, comp.blocks)]
+        # Each row is divided by a power of two near its largest entry,
+        # which is exact, so that M stays in range for rows that are.
+        top = np.max([np.abs(s).max(axis=(1, 2), initial=0.0)
+                      for s in self.stacks], axis=0)
+        self.scale = np.ldexp(1.0, np.frexp(top)[1])
+        for s in self.stacks:
+            s /= self.scale[:, None, None]
+        self.scaled = np.empty((comp.p, 2 * sum(d * d for d in comp.blocks)))
+        self.m = np.empty((comp.p, comp.p))
+
+    def schur(self, scal) -> np.ndarray:
+        """M for the rows divided by ``scale`` and the scalings ``scal``
+        (``_nt_scaling`` per block), written into the buffer, which is
+        returned."""
+        at = 0
+        for stack, (_, g, _, _) in zip(self.stacks, scal):
+            size = 2 * g.size
+            self.scaled[:, at:at + size] = (g.conj().T @ stack @ g).view(
+                np.float64).reshape(len(stack), size)
+            at += size
+        return np.matmul(self.scaled, self.scaled.T, out=self.m)
+
+    def factor(self, scal):
+        """Factor M + reg 1 for the first shift of ``cholesky_shifts``
+        that works; returns self, or None when none does.
+
+        The factor overwrites the buffer's Fortran-ordered view, which
+        holds M as M is symmetric.  A failed attempt leaves the buffer
+        partly factored, so it is refilled from B before the next one.
         """
-        m, pc = self.m, self.p_cells
-        if pc < self.p:
-            square = 0.0
-            for j, (a_conj, stack, w) in enumerate(
-                    zip(self.dense_conj, self.stacks, ws)):
-                waw = np.matmul(np.matmul(w, stack), w).reshape(len(stack), -1)
-                square = square + a_conj @ waw.T
-                if j in self.cells:
-                    _dense_cross(m, waw, self.cells[j], pc)
-            square = square.real
-            m[pc:, pc:] = (square + square.T) / 2.0
-        for j, cells in self.cells.items():
-            _cell_schur(m, ws[j], cells, self.work)
-        return m
+        m = self.schur(scal)
+        # min and max carry any nan or inf, with no p x p temporary
+        _require_finite(None, "the Schur complement",
+                        (m.min(initial=0.0), m.max(initial=0.0)))
+        diagonal = m.reshape(-1)[::len(m) + 1]
+        for reg in cholesky_shifts(m):
+            if reg:  # a retry
+                np.matmul(self.scaled, self.scaled.T, out=m)
+                diagonal += reg
+            try:
+                self.factor_l = scipy.linalg.cho_factor(
+                    m.T, lower=True, overwrite_a=True, check_finite=False)[0]
+                return self
+            except scipy.linalg.LinAlgError:
+                continue
+        return None
 
-
-def _entrywise_cells(csr, blocks):
-    """Per block, the rows that fill one slot of one cell there.
-
-    A row is entrywise in block j when block j holds all its nonzeros and
-    they read r (E_ab + E_ba) or s (i E_ab - i E_ba) with a < b and r, s
-    real and nonzero, the real and the imaginary slot of cell (a, b), or
-    v E_aa with v real and nonzero, the real slot of cell (a, a) with
-    r = v / 2.  Every other row is dense, such as v E_ab + conj(v) E_ba
-    with v neither real nor imaginary, or two diagonal units (such as the
-    identity of size 2).  Rows for one slot are proportional, so the
-    dependent-row check leaves one of them.  Returns per block
-    (rows, cell, slot, coef): the rows in increasing order, their cells
-    a d + b, their slots (0 real, 1 imaginary) and their r or s.
-    """
-    nnz = np.array([np.diff(a.indptr) for a in csr])
-    alone = np.count_nonzero(nnz, axis=0) == 1
-    found = []
-    for a, d, n in zip(csr, blocks, nnz):
-        one = np.flatnonzero(alone & (n == 1))
-        at = a.indptr[one]
-        r, c = np.divmod(a.indices[at], d)
-        v = a.data[at]
-        ok = (r == c) & (v.imag == 0) & (v.real != 0)
-        one, cell1, coef1 = one[ok], a.indices[at][ok], v.real[ok] / 2.0
-
-        two = np.flatnonzero(alone & (n == 2))
-        at = a.indptr[two]
-        i0, i1 = a.indices[at], a.indices[at + 1]
-        r0, c0 = np.divmod(i0, d)
-        r1, c1 = np.divmod(i1, d)
-        v0, v1 = a.data[at], a.data[at + 1]
-        upper = r0 < c0
-        v = np.where(upper, v0, v1)  # the entry (a, b) with a < b
-        real = (v.imag == 0) & (v.real != 0)
-        imag = (v.real == 0) & (v.imag != 0)
-        ok = ((r0 == c1) & (c0 == r1) & (r0 != c0) & (v1 == v0.conj())
-              & (real | imag))
-        two, cell2 = two[ok], np.where(upper, i0, i1)[ok]
-        slot2 = imag[ok].astype(np.intp)
-        coef2 = np.where(real, v.real, v.imag)[ok]
-
-        rows = np.concatenate([one, two])
-        cell = np.concatenate([cell1, cell2])
-        slot = np.concatenate([np.zeros(len(one), dtype=np.intp), slot2])
-        coef = np.concatenate([coef1, coef2])
-        order = np.argsort(rows)
-        found.append((rows[order], cell[order], slot[order], coef[order]))
-    return found
-
-
-class _Cells:
-    """The entrywise rows of one block, grouped into cells (a, b), a <= b.
-
-    Cells with only a real slot come first, then cells with both slots,
-    then cells with only an imaginary slot, each group in entry order;
-    so cells [0, n_re) have a real slot and cells [n_re_only, n) an
-    imaginary one.  The block's rows in the solver's order start at
-    ``start``: the real slots in cell order, then the imaginary ones;
-    ``rows`` gives their problem rows and ``scale`` their r or s.
-    ``cols`` holds 2 W[:, a], 2 W[:, b], conj(W[:, a]) and conj(W[:, b]),
-    and a chunk of ``step`` cells is formed at a time.
-    """
-
-    def __init__(self, start, d, rows, cell, slot, coef):
-        cells, inv = np.unique(cell, return_inverse=True)
-        has = np.zeros((len(cells), 2), dtype=bool)
-        has[inv, slot] = True
-        group = np.where(has[:, 0], np.where(has[:, 1], 1, 0), 2)
-        order = np.lexsort((cells, group))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        self.start, self.n = start, len(cells)
-        self.a, self.b = np.divmod(cells[order], d)
-        self.ab, self.ba = cells[order], self.b * d + self.a  # flat indices
-        self.n_re_only = int(np.count_nonzero(group == 0))
-        self.n_re = int(np.count_nonzero(has[:, 0]))
-        at = np.zeros((self.n, 2), dtype=np.intp)
-        at[rank[inv], slot] = rows
-        c = np.zeros((self.n, 2))
-        c[rank[inv], slot] = coef
-        self.rows = np.concatenate([at[:self.n_re, 0], at[self.n_re_only:, 1]])
-        self.scale = np.concatenate([c[:self.n_re, 0], c[self.n_re_only:, 1]])
-        self.step = min(self.n, max(1, CHUNK_ENTRIES // self.n))
-        self.cols = np.empty((4, d, self.n), dtype=np.complex128)
-
-
-def _cell_schur(out, w, c, work) -> None:
-    """Write the square of the Schur matrix between c's rows from W, for
-    the rows scaled to unit slots (see ``_Compiled.schur``).
-
-    For cells (a, b) and (a', b') let P = W[b, a'] W[b', a] and
-    Q = W[b, b'] conj(W[a, a']).  The real slot E_ab + E_ba and the
-    imaginary slot i E_ab - i E_ba meet in
-        real, real:  2 Re(P + Q)
-        real, imag: -2 Im(P - Q)
-        imag, imag: -2 Re(P - Q)
-    and (imag, real) is the transpose of (real, imag).  P is symmetric
-    and Q Hermitian, and their computed real parts are so bitwise, so the
-    square comes out bitwise symmetric.  2P and 2Q are formed a chunk of
-    cells at a time in ``work``, from row gathers of ``c.cols``.
-    """
-    n, n_ro, n_re = c.n, c.n_re_only, c.n_re
-    wa2, wb2, wa_conj, wb_conj = c.cols
-    np.take(w, c.a, axis=1, out=wa_conj, mode="clip")
-    np.take(w, c.b, axis=1, out=wb_conj, mode="clip")
-    np.multiply(wa_conj, 2.0, out=wa2)
-    np.multiply(wb_conj, 2.0, out=wb2)
-    np.conjugate(wa_conj, out=wa_conj)
-    np.conjugate(wb_conj, out=wb_conj)
-    re = slice(c.start, c.start + n_re)
-    im = slice(re.stop, re.stop + n - n_ro)
-    for lo in range(0, n, c.step):
-        hi = min(n, lo + c.step)
-        pp, qq, t = (x[:(hi - lo) * n].reshape(hi - lo, n) for x in work)
-        np.take(wa2, c.b[lo:hi], axis=0, out=pp, mode="clip")
-        np.take(wb_conj, c.a[lo:hi], axis=0, out=t, mode="clip")
-        pp *= t
-        np.take(wb2, c.b[lo:hi], axis=0, out=qq, mode="clip")
-        np.take(wa_conj, c.a[lo:hi], axis=0, out=t, mode="clip")
-        qq *= t
-        if lo < n_re:
-            k = min(hi, n_re) - lo
-            rows = slice(re.start + lo, re.start + lo + k)
-            np.add(pp.real[:k, :n_re], qq.real[:k, :n_re], out=out[rows, re])
-            np.subtract(qq.imag[:k, n_ro:], pp.imag[:k, n_ro:],
-                        out=out[rows, im])
-        if hi > n_ro:
-            i = max(lo, n_ro)
-            rows = slice(im.start + i - n_ro, im.start + hi - n_ro)
-            np.subtract(qq.real[i - lo:, n_ro:], pp.real[i - lo:, n_ro:],
-                        out=out[rows, im])
-    out[im, re] = out[re, im].T
-
-
-def _dense_cross(out, waw, c, pc) -> None:
-    """Write the Schur entries Tr(A_i X_k) between c's unit slots i and
-    the dense rows k from X_k = W A_k W (the rows of ``waw``,
-    flattened): Re(X_ab + X_ba) for a real slot, Im(X_ab - X_ba) for an
-    imaginary one.
-    """
-    x_ab, x_ba = waw[:, c.ab], waw[:, c.ba]
-    re = slice(c.start, c.start + c.n_re)
-    im = slice(re.stop, re.stop + c.n - c.n_re_only)
-    out[re, pc:] = (x_ab[:, :c.n_re] + x_ba[:, :c.n_re]).real.T
-    out[im, pc:] = (x_ab[:, c.n_re_only:] - x_ba[:, c.n_re_only:]).imag.T
-    out[pc:, re] = out[re, pc:].T
-    out[pc:, im] = out[im, pc:].T
+    def solve(self, rhs) -> np.ndarray:
+        if len(rhs) == 0:
+            return np.zeros(0)
+        # solve() checks the result: a non-finite rhs makes it non-finite
+        x = scipy.linalg.lapack.dpotrs(self.factor_l, rhs / self.scale,
+                                       lower=1)[0]
+        return x / self.scale
 
 
 def _independent_rows(rows, b):
@@ -530,11 +398,19 @@ def _step_to_boundary(lam, ds):
     return -1.0 / lam_min
 
 
-def solve(problem: SdpProblem) -> SdpSolution:
-    """Run the interior-point iteration; see the module docstring."""
+def solve(problem: SdpProblem, system=None) -> SdpSolution:
+    """Run the interior-point iteration; see the module docstring.
+
+    ``system`` is the Newton system of problem's rows, in problem order:
+    ``system.factor(scaling)`` takes the per-block ``_nt_scaling`` tuples
+    and returns a system whose ``solve(rhs)`` solves M dy = rhs for the
+    Schur matrix M of that scaling, or None when it cannot be factored.
+    None selects the dense Cholesky of ``_DenseSystem``.
+    """
     comp = _Compiled(problem)
     if comp.inconsistent is not None:
         return SdpSolution(status="infeasible", message=comp.inconsistent)
+    newton = _DenseSystem(comp) if system is None else system
 
     blocks = comp.blocks
     n_total = sum(blocks)
@@ -617,11 +493,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         scal = [_nt_scaling(x, z) for x, z in zip(xs, zs)]
         ws = [s[0] for s in scal]
         lams = [s[3] for s in scal]
-        m = comp.schur(ws)
-        # min and max carry any nan or inf, with no p x p temporary
-        _require_finite(it, "the Schur complement",
-                        (m.min(initial=0.0), m.max(initial=0.0)))
-        factor = _factor_with_retry(comp, ws)
+        factor = newton.factor(scal)
         if factor is None:
             message = ("Schur complement stayed indefinite after regularization "
                        "retries; returning the best iterate")
@@ -632,8 +504,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         def direction(rc):
             """(dX, dy, dZ) solving dX + W dZ W = rc, their scaled forms
             G^-1 dX G^-* and G* dZ G, and the step lengths (ap, ad)."""
-            dy = _require_finite(it, "the search direction", _solve_factored(
-                factor, rp - comp.apply(rc) + comp.apply(w_rd_w), comp))
+            dy = _require_finite(it, "the search direction", factor.solve(
+                rp - comp.apply(rc) + comp.apply(w_rd_w)))
             dz = [r - a for r, a in zip(rd, comp.adjoint(dy))]
             dx = [_herm(c - w @ z_ @ w) for c, w, z_ in zip(rc, ws, dz)]
             dz = [_herm(d) for d in dz]
@@ -707,11 +579,12 @@ def _joined(*notes) -> str:
 
 def _require_finite(it, what, values):
     """Return ``values``, or raise once data too large for double
-    precision have overflowed into them."""
+    precision have overflowed into them (at iteration ``it``, if given)."""
     if not np.isfinite(values).all():
+        where = "" if it is None else f"iteration {it}: "
         raise ConvergenceError(
-            f"iteration {it}: {what} left the float range; the problem "
-            "data are too large for double precision")
+            f"{where}{what} left the float range; the problem data are "
+            "too large for double precision")
     return values
 
 
@@ -720,42 +593,6 @@ def _expand_dual(comp, y, p_full):
     full = np.zeros(p_full)
     full[comp.keep] = y
     return full
-
-
-def _factor_with_retry(comp, ws):
-    """The lower Cholesky factor of M + reg 1, M = ``comp.schur(ws)``
-    (already in the Schur buffer), for the first reg in a rising ladder
-    that works; None when none does.
-
-    The factor overwrites the buffer's Fortran-ordered view, which holds
-    M as M is symmetric; it is returned.  A failed attempt leaves the
-    buffer partly factored, so it is refilled from W before the next one;
-    ``schur`` is deterministic, so M is bitwise the same.
-    """
-    m = comp.m
-    p = m.shape[0]
-    base = max(1.0, float(np.trace(m)) / max(1, p))
-    regs = [0.0] + [base * 10.0 ** k for k in range(-14, -5, 3)]
-    diagonal = m.reshape(-1)[::p + 1]
-    for reg in regs:
-        if reg:  # a retry
-            comp.schur(ws)
-            diagonal += reg
-        try:
-            return scipy.linalg.cho_factor(m.T, lower=True, overwrite_a=True,
-                                           check_finite=False)[0]
-        except scipy.linalg.LinAlgError:
-            continue
-    return None
-
-
-def _solve_factored(factor, rhs, comp):
-    if comp.p == 0:
-        return np.zeros(0)
-    # solve() checks the result: a non-finite rhs makes it non-finite;
-    # the factor is that of the Schur matrix of unit slots (``schur``)
-    x, _ = scipy.linalg.lapack.dpotrs(factor, rhs / comp.scale, lower=1)
-    return x / comp.scale
 
 
 def _infeasibility_certificate(comp, y):

@@ -285,11 +285,11 @@ def dense_independent_rows(rows, b):
     return keep, dropped, inconsistent
 
 
-def copying_factor_with_retry(comp, ws):
-    """``sdp._factor_with_retry`` as a copy: every attempt copies the
+def copying_dense_factor(system, scal):
+    """``sdp._DenseSystem.factor`` as a copy: every attempt copies the
     Schur matrix into a second p x p buffer and factors that, so the
     Schur buffer is never overwritten."""
-    m = comp.m
+    m = system.schur(scal)
     out = np.empty_like(m)
     p = m.shape[0]
     base = max(1.0, float(np.trace(m)) / max(1, p))
@@ -299,8 +299,9 @@ def copying_factor_with_retry(comp, ws):
         np.copyto(out, m)
         diagonal += reg
         try:
-            return scipy.linalg.cho_factor(out.T, lower=True, overwrite_a=True,
-                                           check_finite=False)[0]
+            system.factor_l = scipy.linalg.cho_factor(
+                out.T, lower=True, overwrite_a=True, check_finite=False)[0]
+            return system
         except scipy.linalg.LinAlgError:
             continue
     return None

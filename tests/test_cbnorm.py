@@ -370,3 +370,75 @@ def test_one_block_program_matches_the_two_block_one(name):
     assert closed.upper - closed.lower > 1e-3 * closed.upper  # SDP needed
     _assert_same_sandwich(cbnorm.cb_norm(f),
                           _oracle_sandwich(f, oracles.two_block_upper_problem))
+
+
+def _interior_scaling(rng, d, decades):
+    """``sdp._nt_scaling`` of random X, Z > 0 whose eigenvalues span
+    ``decades`` decades."""
+    def posdef():
+        u = oracles.random_unitary(rng, d)
+        return (u * np.logspace(-decades, 0, d)) @ u.conj().T
+    return sdp._nt_scaling(posdef(), posdef())
+
+
+_SYSTEM_CASES = {
+    "general-2-3": lambda: _general(2, 3),
+    "general-3-4": lambda: _general(3, 4),
+    "general-4-2": lambda: _general(4, 2),
+    "general-1-4": lambda: _general(1, 4),
+    "general-4-1": lambda: _general(4, 1),
+    "reduction:4": lambda: maps.reduction_map(4),
+    "decomposable-4-4": lambda: _decomposable(4, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_SYSTEM_CASES))
+def test_upper_system_matches_the_dense_oracle(name):
+    # the dense Cholesky's Schur matrix is the oracle: at random interior
+    # points and at the last iterates of the solve, the cb system's
+    # solution has a normwise backward error at round-off level
+    f = _SYSTEM_CASES[name]()
+    unit = maps.LinearMapRep(f.dim_in, f.dim_out,
+                             f.choi / matcore.operator_norm(f.choi))
+    prob = cbnorm._upper_problem(unit)
+    system = cbnorm._UpperSystem(prob, f.dim_in, f.dim_out)
+    seen = []
+
+    class Spy:
+        def factor(self, scal):
+            seen.append(scal)
+            return system.factor(scal)
+
+    assert sdp.solve(prob, Spy()).status == "optimal"
+    rng = sampling.rng_from(0x5E5, f.dim_in, f.dim_out)
+    big = 2 * f.dim_in * f.dim_out
+    cases = [[_interior_scaling(rng, big, k)] for k in (0, 5)] + seen[-2:]
+    dense = sdp._DenseSystem(sdp._Compiled(prob))
+    for scal in cases:
+        m = dense.schur(scal) * np.outer(dense.scale, dense.scale)
+        assert system.factor(scal) is system
+        r = rng.standard_normal(len(m))
+        y = system.solve(r)
+        backward = np.linalg.norm(m @ y - r) / (
+            np.linalg.norm(m, 2) * np.linalg.norm(y) + np.linalg.norm(r))
+        assert backward <= 1e-14
+
+
+def test_cb_upper_sdp_holds_no_schur_matrix(monkeypatch):
+    # a general 6 -> 6 map: p = 2663, so a dense Schur buffer alone would
+    # take 8 p^2 bytes (0.75 of the bound below when measured)
+    import tracemalloc
+
+    def refuse(*args):
+        raise AssertionError("the cb program reached the dense system")
+
+    monkeypatch.setattr(sdp, "_DenseSystem", refuse)
+    p = 2 * 36 ** 2 + 2 * 6 ** 2 - 1
+    tracemalloc.start()
+    try:
+        upper, _, _ = cbnorm.cb_upper_sdp(_general(6, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert upper > 0
+    assert peak < 2 * p * p

@@ -423,6 +423,37 @@ def test_bad_constructor_is_error(capsys, argv):
     assert err.startswith("sepball: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec", ["transpose:100000", "identity:13",
+                                  "reduction:13", "file:{}"])
+def test_maps_over_the_size_cap_are_one_line_errors(tmp_path, capsys, spec):
+    # the file's Choi matrix is never read: the cap is checked first
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dimIn": 13, "dimOut": 12, "choi": []}))
+    code, out, err = _run(capsys, "cbnorm", "--map", spec.format(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("sepball: error: map size ")
+    assert err.endswith(f"exceeds the cap {maps.MAP_SIZE_CAP}\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [("--algA", "3", "--algB", "3"),
+                                   ("--algA", "1")])
+def test_algebras_beside_a_file_element_are_refused(tmp_path, capsys, flags):
+    # the document names its own algebras, so the flags would be ignored
+    path = tmp_path / "diag.json"
+    path.write_text(jsonio.dumps(jsonio.encode_element(
+        algebra.BipartiteElement(algebra.FdAlgebra((1,)),
+                                 algebra.FdAlgebra((2,)),
+                                 (np.diag([1.0, 2.0]),)))))
+    code, out, err = _run(capsys, "sep-check", "--element", f"file:{path}",
+                          *flags)
+    assert (code, out) == (1, "")
+    assert err == ("sepball: error: --algA/--algB: a file: element carries "
+                   "its own algebras\n")
+    code, _, _ = _run(capsys, "sep-check", "--element", f"file:{path}")
+    assert code == 0
+
+
 def test_usage_error_is_exit_one(capsys):
     code, out, err = _run(capsys, "cbnorm")
     assert code == 1

@@ -304,76 +304,79 @@ def _cb_problem(n, m, seed):
 
     rng = _rng(seed)
     choi = sampling.complex_gaussian(rng, (n * m, n * m))
-    prob = cbnorm._upper_problem(maps.LinearMapRep(n, m, choi))
-    q = n * m
-    kinds = [0] * (2 * q * q) + [-1] * (2 * m * m - 1)
-    return prob, kinds
+    return cbnorm._upper_problem(maps.LinearMapRep(n, m, choi))
 
 
-def _row_kinds(comp, p):
-    """Per problem row, the block whose cells hold it, -1 if dense, or
-    None if the dependent-row check dropped it."""
-    kinds = np.full(comp.p, -1)
-    for j, cells in comp.cells.items():
-        kinds[cells.start:cells.start + len(cells.rows)] = j
-    out = [None] * p
-    for i, kind in zip(comp.keep, kinds.tolist()):
-        out[i] = kind
+def _random_scalings(blocks, seed):
+    """``_nt_scaling`` of a random interior pair (X, Z) per block."""
+    rng = _rng(seed)
+    return [sdp._nt_scaling(_posdef(rng, d), _posdef(rng, d)) for d in blocks]
+
+
+def _dense_schur(prob, ws):
+    """sum_blocks Tr(A_i W A_j W) from the dense constraint matrices."""
+    p = prob.num_constraints
+    out = np.zeros((p, p))
+    cons = prob.constraints
+    for j, w in enumerate(ws):
+        a = np.array([mats[j] for _, mats in cons])
+        out += np.real(np.einsum("ikl,jlk->ij", a, w @ a @ w))
     return out
 
 
 @pytest.mark.parametrize("case", ["cb23", "cb34", "cb42", "mixed", "cells"])
 def test_schur_matches_dense_oracle(case):
     if case == "mixed":
-        prob, kinds = _mixed_problem()
+        prob = _mixed_problem()[0]
     elif case == "cells":
-        prob, kinds = _cell_problem()
+        prob = _cell_problem()[0]
     else:
         n, m = int(case[2]), int(case[3])
-        prob, kinds = _cb_problem(n, m, seed=n * 10 + m)
+        prob = _cb_problem(n, m, seed=n * 10 + m)
     comp = sdp._Compiled(prob)
-    assert _row_kinds(comp, prob.num_constraints) == kinds
-
-    rng = _rng(5)
-    ws = []
-    for d in prob.blocks:
-        g = sampling.complex_gaussian(rng, (d, d))
-        w = g @ g.conj().T + np.eye(d)
-        ws.append((w + w.conj().T) / 2)
-    got = comp.schur(ws)
+    system = sdp._DenseSystem(comp)
+    scal = _random_scalings(prob.blocks, 5)
+    got = system.schur(scal)
     assert got.tobytes() == got.T.tobytes()
-    got = got * np.outer(comp.scale, comp.scale)  # back from unit slots
+    got = got * np.outer(system.scale, system.scale)  # back from scaled rows
 
-    p = prob.num_constraints
-    want = np.zeros((p, p))
-    cons = prob.constraints
-    for j, w in enumerate(ws):
-        a = np.array([mats[j] for _, mats in cons])
-        waw = w @ a @ w
-        want += np.real(np.einsum("ikl,jlk->ij", a, waw))
+    want = _dense_schur(prob, [s[0] for s in scal])
     want = want[np.ix_(comp.keep, comp.keep)]  # the solver's row order
     err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
     assert err <= 1e-13
 
 
 def test_schur_all_dense_rows_keep_their_stacks():
+    # every kept row is one dense stack entry per block, divided by a
+    # power of two near its largest entry
     for prob, kinds in ((_random_strictly_feasible(3), [-1] * 4),
                         _mixed_problem(), _cell_problem()):
         comp = sdp._Compiled(prob)
-        assert _row_kinds(comp, prob.num_constraints) == kinds
+        system = sdp._DenseSystem(comp)
+        kept = [i for i, kind in enumerate(kinds) if kind is not None]
+        assert comp.keep.tolist() == kept
         cons = prob.constraints
-        dense = [i for i, kind in enumerate(kinds) if kind == -1]
-        for j in range(len(prob.blocks)):
-            want = np.array([cons[i][1][j] for i in dense])
-            assert comp.stacks[j].tobytes() == want.tobytes()
+        top = np.zeros(len(kept))
+        for j, stack in enumerate(system.stacks):
+            want = np.array([cons[i][1][j] for i in kept])
+            scaled = stack * system.scale[:, None, None]
+            assert scaled.tobytes() == want.tobytes()
+            top = np.maximum(top, np.abs(want).max(axis=(1, 2)))
+        assert np.all((system.scale / 2 <= top) & (top < system.scale))
 
 
 def test_reduction_program_keeps_a_stack_of_its_dense_rows_only():
+    # the cb program's own system holds no p x p array and no stack of
+    # the pair rows: its largest array is the trace rows' Schur columns
     from sepball import cbnorm, maps
 
-    comp = sdp._Compiled(cbnorm._upper_problem(maps.reduction_map(6)))
-    assert comp.p == 2663
-    assert [s.shape for s in comp.stacks] == [(71, 72, 72)]
+    prob = cbnorm._upper_problem(maps.reduction_map(6))
+    assert prob.num_constraints == 2663
+    system = cbnorm._UpperSystem(prob, 6, 6)
+    eye = np.eye(72, dtype=np.complex128)
+    assert system.factor([sdp._nt_scaling(eye, eye)]) is system
+    arrays = [a for a in vars(system).values() if isinstance(a, np.ndarray)]
+    assert max(a.size for a in arrays) == system.f.size == 71 * 2 * 36 ** 2
 
 
 def _entry_rows(*rows):
@@ -412,7 +415,7 @@ _PEEL_CASES = {
         2, 1),
     "mixed": lambda: (_mixed_problem()[0], 0, 0),
     "cells": lambda: (_cell_problem()[0], 2, 1),
-    "cb23": lambda: (_cb_problem(2, 3, seed=23)[0], 0, 0),
+    "cb23": lambda: (_cb_problem(2, 3, seed=23), 0, 0),
     "infeasible-pair": lambda: (sdp.SdpProblem(
         blocks=(2,), objective=(np.eye(2),),
         constraints=((1.0, (np.eye(2),)), (2.0, (np.eye(2),)))), 2, 1),
@@ -473,27 +476,32 @@ def _solution_bytes(sol):
 
 
 def test_buffers_do_not_carry_over_between_solves():
-    # the Schur buffer, which takes the factor, and the kernel's buffers
-    # belong to one solve
+    # the dense path's Schur buffer, which takes the factor, and the cb
+    # system's arrays belong to one solve
     from sepball import cbnorm, maps
 
     rng = _rng(14)
-    first = cbnorm._upper_problem(maps.LinearMapRep(
-        3, 4, sampling.complex_gaussian(rng, (12, 12))))
-    other = cbnorm._upper_problem(maps.LinearMapRep(
-        2, 3, sampling.complex_gaussian(rng, (6, 6))))
-    a = sdp.solve(first)
-    b = sdp.solve(other)
-    c = sdp.solve(first)
-    assert a.status == b.status == c.status == "optimal"
-    assert _solution_bytes(a) == _solution_bytes(c)
-    assert (a.iterations, a.best_iteration) == (c.iterations, c.best_iteration)
+    first = maps.LinearMapRep(3, 4, sampling.complex_gaussian(rng, (12, 12)))
+    other = maps.LinearMapRep(2, 3, sampling.complex_gaussian(rng, (6, 6)))
+
+    def run(f, with_system):
+        prob = cbnorm._upper_problem(f)
+        system = (cbnorm._UpperSystem(prob, f.dim_in, f.dim_out)
+                  if with_system else None)
+        return sdp.solve(prob, system)
+
+    for with_system in (False, True):
+        a, b, c = (run(f, with_system) for f in (first, other, first))
+        assert a.status == b.status == c.status == "optimal"
+        assert _solution_bytes(a) == _solution_bytes(c)
+        assert (a.iterations, a.best_iteration) == (c.iterations,
+                                                    c.best_iteration)
 
 
 _FACTOR_CASES = {
     "mixed": lambda: _feasible(_mixed_problem()[0], 17),
     "cells": lambda: _feasible(_cell_problem()[0], 15),
-    "cb34": lambda: _cb_problem(3, 4, seed=34)[0],
+    "cb34": lambda: _cb_problem(3, 4, seed=34),
 }
 
 
@@ -502,7 +510,7 @@ _FACTOR_CASES = {
 def test_in_place_factor_matches_the_copying_one(case, fail_once,
                                                  monkeypatch):
     # with fail_once the first factorization of each solve overwrites the
-    # buffer and then reports failure, so the refill from W runs
+    # buffer and then reports failure, so the refill from B runs
     prob = _FACTOR_CASES[case]()
     cho_factor = scipy.linalg.cho_factor
     calls = []
@@ -516,9 +524,9 @@ def test_in_place_factor_matches_the_copying_one(case, fail_once,
 
     monkeypatch.setattr(scipy.linalg, "cho_factor", factor)
     sols = []
-    for retry in (sdp._factor_with_retry, oracles.copying_factor_with_retry):
+    for retry in (sdp._DenseSystem.factor, oracles.copying_dense_factor):
         calls.clear()
-        monkeypatch.setattr(sdp, "_factor_with_retry", retry)
+        monkeypatch.setattr(sdp._DenseSystem, "factor", retry)
         sols.append(sdp.solve(prob))
         assert sols[-1].status == "optimal"
         assert len(calls) == sols[-1].iterations - 1 + fail_once
@@ -529,14 +537,19 @@ def test_in_place_factor_matches_the_copying_one(case, fail_once,
 
 
 def test_solve_keeps_one_schur_buffer():
-    # the Schur matrix is factored in place: 8 p^2 bytes for it, the rest
-    # for the stacks of dense rows and their products (2.25 when measured)
+    # the dense path factors the Schur matrix in the buffer that ``schur``
+    # fills: 8 p^2 bytes for it, the rest for the row stack, the scaled
+    # rows B and the two products that form B, 16 p d^2 bytes each (4.05
+    # stacks when measured)
     import tracemalloc
 
     from sepball import cbnorm, maps
 
     prob = cbnorm._upper_problem(maps.reduction_map(4))
-    p = prob.num_constraints
+    p, d = prob.num_constraints, prob.blocks[0]
+    system = sdp._DenseSystem(sdp._Compiled(prob))
+    assert system.factor(_random_scalings(prob.blocks, 6)) is system
+    assert np.shares_memory(system.factor_l, system.m)
     tracemalloc.start()
     try:
         sol = sdp.solve(prob)
@@ -544,7 +557,7 @@ def test_solve_keeps_one_schur_buffer():
     finally:
         tracemalloc.stop()
     assert sol.status == "optimal"
-    assert peak < 2.75 * 8 * p * p
+    assert peak < 8 * p * p + 4.5 * 16 * p * d * d
 
 
 def _posdef(rng, d, eigenvalues=None):
