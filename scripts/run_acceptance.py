@@ -2,10 +2,13 @@
 """Run the CLI acceptance battery twice and compare the outputs byte for byte.
 
 Exit status is 0 only if every command succeeds and both runs agree.
+Each report's line shows the first 16 hex digits of its SHA-256, so the
+logs of two commits can be diffed report by report.
 Pass --pytest to run the full test suite first.
 """
 
 import argparse
+import hashlib
 import subprocess
 import sys
 import tempfile
@@ -173,8 +176,10 @@ def run_battery(outdir: Path, inputs: Path) -> list[bytes]:
         if code != 0:
             print(f"FAIL ({code}) {label}")
             sys.exit(1)
-        print(f"ok   [{dt:6.2f}s] {label}")
-        outputs.append(out.read_bytes())
+        report = out.read_bytes()
+        digest = hashlib.sha256(report).hexdigest()[:16]
+        print(f"ok   [{dt:6.2f}s] {digest} {label}")
+        outputs.append(report)
     return outputs
 
 

@@ -85,7 +85,7 @@ class MajorizingPair:
 
 
 def _unit_image_norm(f: maps.LinearMapRep) -> float:
-    unit = matcore.partial_trace(f.choi, (f.dim_in, f.dim_out), "first")
+    unit = matcore.partial_trace(f.choi, (f.dim_in, f.dim_out))
     return matcore.operator_norm(unit)
 
 
@@ -150,8 +150,9 @@ def _upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
 
 
 class _UpperSystem:
-    """The Newton system of ``_upper_problem``, solved without its Schur
-    matrix M (see ``sdp.solve`` for the interface).
+    """The Newton system of ``_upper_problem``, built on the solve's
+    compiled rows ``comp`` and solved without its Schur matrix M (see
+    ``sdp.solve`` for the interface).
 
     Write W = G G* for the NT scaling and G_1, G_2 for the first and last
     q rows of G.  Take G_j* = Q_j R_j (reduced QR) and Q_1* Q_2 =
@@ -175,12 +176,11 @@ class _UpperSystem:
     bytes.
     """
 
-    def __init__(self, problem: sdp.SdpProblem, n: int, m: int):
+    def __init__(self, comp, n: int, m: int):
+        self.comp = comp
         self.n, self.m, self.q = n, m, n * m
         self.hs = _trace_rows(m)
         self.lower = np.tri(self.q, k=-1, dtype=bool)
-        rows = problem.rows[0]
-        self.rows_conj, self.rows_t = rows.conj().tocsr(), rows.T.tocsr()
 
     def factor(self, scal):
         (w, g, _, _), = scal
@@ -252,9 +252,8 @@ class _UpperSystem:
         M y = A(W A*(y) W): the steps through T are not backward stable
         on their own once W is ill-conditioned."""
         y = self._solve(rhs)
-        big = 2 * self.q
-        x = self.w @ (self.rows_t @ y).reshape(big, big) @ self.w
-        return y + self._solve(rhs - np.real(self.rows_conj @ x.ravel()))
+        x, = self.comp.adjoint(y)
+        return y + self._solve(rhs - self.comp.apply([self.w @ x @ self.w]))
 
     def _solve(self, rhs) -> np.ndarray:
         q, pp = self.q, 2 * self.q * self.q
@@ -328,8 +327,8 @@ def cb_upper_sdp(psi: maps.LinearMapRep):
     """
     scale = matcore.operator_norm(psi.choi) or 1.0
     unit = maps.LinearMapRep(psi.dim_in, psi.dim_out, psi.choi / scale)
-    problem = _upper_problem(unit)
-    sol = sdp.solve(problem, _UpperSystem(problem, psi.dim_in, psi.dim_out))
+    sol = sdp.solve(_upper_problem(unit), lambda comp: _UpperSystem(
+        comp, psi.dim_in, psi.dim_out))
     if sol.status != "optimal":
         raise ConvergenceError(
             f"cb upper-bound program ended with status {sol.status}: "

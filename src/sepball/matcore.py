@@ -2,9 +2,10 @@
 
 Everything downstream (maps, SDP cones, witnesses) reduces to the
 operations here: Hermitian eigendecomposition, operator norm, Kronecker
-products, and the partial trace / partial transpose of a matrix on
-C^n (x) C^m.  All functions are pure; inputs are never mutated and every
-result is a freshly allocated complex128 array in row-major order.
+products, and the partial trace over the first leg and the partial
+transpose of the second leg of a matrix on C^n (x) C^m.  All functions
+are pure; inputs are never mutated and every result is a freshly
+allocated complex128 array in row-major order.
 
 Index convention for the tensor factorization: the row index of
 ``a (x) b`` is ``i * b.rows + r`` where ``i`` indexes the first factor.
@@ -119,32 +120,20 @@ def _split_shape(x: np.ndarray, dims) -> tuple[int, int]:
     return n, m
 
 
-def _check_leg(leg: str) -> str:
-    if leg not in ("first", "second"):
-        raise DimensionError(f"leg must be 'first' or 'second', got {leg!r}")
-    return leg
-
-
-def partial_transpose(x, dims, leg: str = "second") -> np.ndarray:
-    """Transpose one tensor leg of a matrix on C^n (x) C^m, or of every
-    matrix of a stack of shape (..., n*m, n*m)."""
+def partial_transpose(x, dims) -> np.ndarray:
+    """Transpose the second (B) leg of a matrix on C^n (x) C^m, or of
+    every matrix of a stack of shape (..., n*m, n*m)."""
     a = as_matrix(x) if np.ndim(x) <= 2 else np.asarray(x, dtype=np.complex128)
     n, m = _split_shape(a, dims)
-    _check_leg(leg)
-    t = a.reshape(a.shape[:-2] + (n, m, n, m))
-    t = np.swapaxes(t, -4, -2) if leg == "first" else np.swapaxes(t, -3, -1)
+    t = np.swapaxes(a.reshape(a.shape[:-2] + (n, m, n, m)), -3, -1)
     return np.ascontiguousarray(t.reshape(a.shape))
 
 
-def partial_trace(x, dims, leg: str = "first") -> np.ndarray:
-    """Trace out one tensor leg; tracing ``first`` leaves an m x m matrix."""
+def partial_trace(x, dims) -> np.ndarray:
+    """Trace out the first leg of a matrix on C^n (x) C^m: an m x m matrix."""
     a = as_matrix(x)
     n, m = _split_shape(a, dims)
-    _check_leg(leg)
-    t = a.reshape(n, m, n, m)
-    if leg == "first":
-        return np.ascontiguousarray(np.einsum("iris->rs", t))
-    return np.ascontiguousarray(np.einsum("irjr->ij", t))
+    return np.ascontiguousarray(np.einsum("iris->rs", a.reshape(n, m, n, m)))
 
 
 def matrix_unit(d: int, i: int, j: int) -> np.ndarray:

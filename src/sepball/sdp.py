@@ -401,16 +401,18 @@ def _step_to_boundary(lam, ds):
 def solve(problem: SdpProblem, system=None) -> SdpSolution:
     """Run the interior-point iteration; see the module docstring.
 
-    ``system`` is the Newton system of problem's rows, in problem order:
-    ``system.factor(scaling)`` takes the per-block ``_nt_scaling`` tuples
-    and returns a system whose ``solve(rhs)`` solves M dy = rhs for the
-    Schur matrix M of that scaling, or None when it cannot be factored.
-    None selects the dense Cholesky of ``_DenseSystem``.
+    ``system`` builds the Newton system: it is called once with the
+    ``_Compiled`` rows, those the solve kept after dropping dependent
+    ones, in their order.  Its ``factor(scaling)`` takes the per-block
+    ``_nt_scaling`` tuples and returns a system whose ``solve(rhs)``
+    solves M dy = rhs for the Schur matrix M of those rows at that
+    scaling, or None when it cannot be factored.  None selects the dense
+    Cholesky of ``_DenseSystem``.
     """
     comp = _Compiled(problem)
     if comp.inconsistent is not None:
         return SdpSolution(status="infeasible", message=comp.inconsistent)
-    newton = _DenseSystem(comp) if system is None else system
+    newton = (_DenseSystem if system is None else system)(comp)
 
     blocks = comp.blocks
     n_total = sum(blocks)

@@ -26,7 +26,9 @@ which scans random and directed elements at given radii, runs it once
 per block pair on all elements of a radius.  The module also builds the
 extremal entangled elements just past the radius 1/min(rank).  Every
 eigenvalue test reads the one slack ``PSD_SLACK``, relative to
-max(1, ||part||).
+max(1, ||part||).  The PPT rule is ``ppt_margin``: ``ppt_check`` gives
+its margin per block pair, the number that ``--verify`` reports for
+every PPT and NPT check.
 """
 
 from __future__ import annotations
@@ -82,23 +84,16 @@ def ppt_margin(lam: float, part: np.ndarray) -> float:
     return lam + PSD_SLACK * max(1.0, matcore.operator_norm(part))
 
 
-def ppt_check(x: algebra.BipartiteElement):
-    """Partial-transpose positivity per block pair.
-
-    Returns (all_nonnegative, margins) where margins[i] is the smallest
-    eigenvalue of the partially transposed part in lexicographic order.
-    A part fails when ``ppt_margin`` of its margin is negative.
-    """
+def ppt_check(x: algebra.BipartiteElement) -> list[float]:
+    """``ppt_margin`` per block pair of x, in lexicographic order:
+    negative exactly on the NPT pairs."""
     margins = []
-    ok = True
     for (k, l) in x.pairs():
         part = x.part(k, l)
-        gamma = matcore.partial_transpose(part, x.pair_dims(k, l), "second")
-        margin = matcore.min_eigenvalue(gamma)
-        margins.append(margin)
-        if ppt_margin(margin, part) < 0:
-            ok = False
-    return ok, margins
+        lam = matcore.min_eigenvalue(
+            matcore.partial_transpose(part, x.pair_dims(k, l)))
+        margins.append(ppt_margin(lam, part))
+    return margins
 
 
 def induced_witness_map(w: np.ndarray, n: int, m: int) -> maps.LinearMapRep:
@@ -138,7 +133,7 @@ def _certify_stack(parts, dims, pair):
         raise PositivityError(
             f"block pair ({pair[0]},{pair[1]}) has eigenvalue "
             f"{lam_min[bad[0]]:.3e}; the witness test needs a positive element")
-    g_evals, g_vecs = _eigh(matcore.partial_transpose(parts, dims, "second"))
+    g_evals, g_vecs = _eigh(matcore.partial_transpose(parts, dims))
     margins = g_evals[:, 0]
     values = np.minimum(lam_min, margins)
 
@@ -161,7 +156,7 @@ def _certify_stack(parts, dims, pair):
         found, moved = [], []
         for i in negative:
             v = g_vecs[i, :, 0]
-            w = matcore.partial_transpose(np.outer(v, v.conj()), dims, "second")
+            w = matcore.partial_transpose(np.outer(v, v.conj()), dims)
             phi = induced_witness_map(w, n, m)
             found.append((w, phi))
             moved.append(matcore.check_hermitian(

@@ -27,9 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra, cbnorm, maps, matcore, separability
-from .errors import DimensionError, SizeCapError
+from .errors import DimensionError
 
-MATRIX_CAP = 12
 CB_BRACKET_TOL = 1e-3
 KAPPA_LOWER_TOL = 1e-3
 KAPPA_UPPER_SLACK = 1e-6
@@ -127,10 +126,8 @@ def kappa_matrix_check(n: int, m: int):
     """
     if n < 1 or m < 1:
         raise DimensionError(f"matrix sizes must be positive, got ({n}, {m})")
-    if n > MATRIX_CAP or m > MATRIX_CAP:
-        raise SizeCapError(
-            f"matrix sizes ({n}, {m}) exceed the kappa cap {MATRIX_CAP}"
-        )
+    # phi's Choi matrix has side n m and (Id_n (x) phi)'s outputs side n n
+    maps.check_size(n, max(n, m))
     d = min(n, m)
     phi = maps.embedded_transpose(d, m, n)
     cb = cbnorm.closed_form(phi)
@@ -172,7 +169,12 @@ def kappa_matrix_check(n: int, m: int):
 
 def rank_formula_report(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
                         seed: int = 0, samples: int = 6) -> RankFormulaReport:
-    """Evaluate eta, gamma, kappa on one algebra pair and verify every witness."""
+    """Evaluate eta, gamma, kappa on one algebra pair and verify every witness.
+
+    The eta witness and the scan's largest part have side rank_a * rank_b,
+    and kappa's outputs side rank_a * rank_a, so kappa's size check runs
+    before any of them is built."""
+    maps.check_size(alg_a.rank, max(alg_a.rank, alg_b.rank))
     eta_value, eta_witness = eta_certificate(alg_a, alg_b)
     gamma_value, evidence, gamma_witness = gamma_certificate(
         alg_a, alg_b, samples=samples, seed=seed)

@@ -68,16 +68,13 @@ def cbnorm_result(res: cbnorm.CbNormResult) -> tuple[NamedCheck, ...]:
     )
 
 
-def _ppt_margins(x: algebra.BipartiteElement) -> list[float]:
-    """``separability.ppt_margin`` per block pair of x: negative exactly
-    on the pairs that ``separability.ppt_check`` finds NPT."""
-    _, lams = separability.ppt_check(x)
-    return [separability.ppt_margin(lam, x.part(*pair))
-            for lam, pair in zip(lams, x.pairs())]
+def _flag(name: str, passed: bool) -> NamedCheck:
+    """A check with no scale to measure by: margin 0 if it passes, else -1."""
+    return NamedCheck(name, passed, 0.0 if passed else -1.0)
 
 
 def _npt_check(name: str, x: algebra.BipartiteElement) -> NamedCheck:
-    margin = -min(_ppt_margins(x))
+    margin = -min(separability.ppt_check(x))
     return NamedCheck(name, margin > 0, margin)
 
 
@@ -107,7 +104,8 @@ def verdict(x: algebra.BipartiteElement,
     if v.status != "separable-certified":
         return (NamedCheck("undecided-nothing-to-verify", True, 0.0),)
     checks = [NamedCheck(f"ppt-margin-{k}-{l}", margin >= 0, margin)
-              for (k, l), margin in zip(x.pairs(), _ppt_margins(x))]
+              for (k, l), margin in zip(x.pairs(),
+                                        separability.ppt_check(x))]
     for (pair, factors) in (v.decomposition or []):
         if not factors:
             continue
@@ -132,19 +130,18 @@ def scan(rep: separability.ScanReport) -> tuple[NamedCheck, ...]:
     checks = []
     for i, row in enumerate(rep.rows):
         total = row.separable + row.entangled + row.undecided
-        checks.append(NamedCheck(f"row-{i}-counts", total == rep.samples + 1,
-                                 float(rep.samples + 1 - total)))
+        checks.append(_flag(f"row-{i}-counts", total == rep.samples + 1))
         directed = algebra.identity_minus(separability._directed_element(
             rep.alg_a, rep.alg_b, row.radius))
         if row.directed_status == "entangled-certified":
             checks.append(_npt_check(f"row-{i}-directed-npt", directed))
         elif row.directed_status == "separable-certified":
-            margin = min(_ppt_margins(directed))
+            margin = min(separability.ppt_check(directed))
             checks.append(NamedCheck(f"row-{i}-directed-ppt", margin >= 0,
                                      margin))
     expected = next((row.radius for row in rep.rows if row.entangled > 0),
                     None)
-    checks.append(NamedCheck("onset-consistent", expected == rep.onset, 0.0))
+    checks.append(_flag("onset-consistent", expected == rep.onset))
     return tuple(checks)
 
 
@@ -154,8 +151,8 @@ def rank_report(report: theorems.RankFormulaReport) -> tuple[NamedCheck, ...]:
               abs(sandwich.upper - report.eta_value))
     kappa = report.kappa_report
     checks = [
-        NamedCheck("eta-gamma-product",
-                   report.gamma_value * report.eta_value == 1, 0.0),
+        _flag("eta-gamma-product",
+              report.gamma_value * report.eta_value == 1),
         NamedCheck("sandwich-brackets-eta", dev <= theorems.CB_BRACKET_TOL,
                    theorems.CB_BRACKET_TOL - dev),
         *cbnorm_result(sandwich),

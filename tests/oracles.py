@@ -314,7 +314,7 @@ def certify_pair(part, dims, pair, lam_min, scale, tol):
     max(1, ||part||), both from the caller's positivity precheck.
     """
     n, m = dims
-    gamma = matcore.partial_transpose(part, dims, "second")
+    gamma = matcore.partial_transpose(part, dims)
     g_evals, g_vecs = matcore.eig_hermitian(gamma)
     ppt_margin = float(g_evals[0])
     value = min(lam_min, ppt_margin)
@@ -332,7 +332,7 @@ def certify_pair(part, dims, pair, lam_min, scale, tol):
         # lam_min passed the precheck, so the optimum is lambda_min(x^G),
         # attained by C_2 = |v><v|: W = (|v><v|)^G has trace one.
         v = g_vecs[:, 0]
-        w = matcore.partial_transpose(np.outer(v, v.conj()), dims, "second")
+        w = matcore.partial_transpose(np.outer(v, v.conj()), dims)
         phi = induced_witness_map(w, n, m)
         moved = maps.apply_to_second_leg(phi, part, n)
         evals, evecs = matcore.eig_hermitian(moved)

@@ -310,7 +310,7 @@ def _decomposable(n, m):
     c1 = oracles.random_kraus_choi(rng, n, m)
     c2 = oracles.random_kraus_choi(rng, n, m)
     return maps.LinearMapRep(
-        n, m, c1 + matcore.partial_transpose(c2, (n, m), "second"))
+        n, m, c1 + matcore.partial_transpose(c2, (n, m)))
 
 
 def _oracle_sandwich(psi, program):
@@ -401,15 +401,19 @@ def test_upper_system_matches_the_dense_oracle(name):
     unit = maps.LinearMapRep(f.dim_in, f.dim_out,
                              f.choi / matcore.operator_norm(f.choi))
     prob = cbnorm._upper_problem(unit)
-    system = cbnorm._UpperSystem(prob, f.dim_in, f.dim_out)
-    seen = []
+    systems, seen = [], []
 
-    class Spy:
+    class Spy(cbnorm._UpperSystem):
         def factor(self, scal):
             seen.append(scal)
-            return system.factor(scal)
+            return super().factor(scal)
 
-    assert sdp.solve(prob, Spy()).status == "optimal"
+    def build(comp):
+        systems.append(Spy(comp, f.dim_in, f.dim_out))
+        return systems[-1]
+
+    assert sdp.solve(prob, build).status == "optimal"
+    (system,) = systems
     rng = sampling.rng_from(0x5E5, f.dim_in, f.dim_out)
     big = 2 * f.dim_in * f.dim_out
     cases = [[_interior_scaling(rng, big, k)] for k in (0, 5)] + seen[-2:]

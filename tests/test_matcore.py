@@ -110,10 +110,7 @@ def test_swap_partial_transpose_is_projector():
     for d in (2, 3):
         f = matcore.embedded_swap(d, d, d)
         p = matcore.max_entangled_projector(d)
-        nptest.assert_allclose(
-            matcore.partial_transpose(f, (d, d), "second"), p)
-        nptest.assert_allclose(
-            matcore.partial_transpose(f, (d, d), "first"), p)
+        nptest.assert_allclose(matcore.partial_transpose(f, (d, d)), p)
 
 
 def test_partial_transpose_on_product():
@@ -122,32 +119,34 @@ def test_partial_transpose_on_product():
     b = _random_hermitian(rng, 3)
     x = np.kron(a, b)
     nptest.assert_allclose(
-        matcore.partial_transpose(x, (2, 3), "second"), np.kron(a, b.T))
-    nptest.assert_allclose(
-        matcore.partial_transpose(x, (2, 3), "first"), np.kron(a.T, b))
+        matcore.partial_transpose(x, (2, 3)), np.kron(a, b.T))
 
 
 @given(st.integers(0, 200))
 def test_partial_transpose_involution_and_composition(seed):
     rng = _rng(seed)
     x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    pt2 = matcore.partial_transpose(x, (2, 3), "second")
+    pt2 = matcore.partial_transpose(x, (2, 3))
+    nptest.assert_allclose(matcore.partial_transpose(pt2, (2, 3)), x)
+    # composed with a local conjugation: (u (x) v) x (u (x) v)* maps to
+    # (u (x) conj v) x^G (u (x) conj v)*
+    u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    v = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    uv, uv_bar = np.kron(u, v), np.kron(u, v.conj())
     nptest.assert_allclose(
-        matcore.partial_transpose(pt2, (2, 3), "second"), x)
-    both = matcore.partial_transpose(pt2, (2, 3), "first")
-    nptest.assert_allclose(both, x.T)
+        matcore.partial_transpose(uv @ x @ uv.conj().T, (2, 3)),
+        uv_bar @ pt2 @ uv_bar.conj().T, atol=1e-12)
     # a stack is transposed matrix by matrix
-    for leg in ("first", "second"):
-        nptest.assert_array_equal(
-            matcore.partial_transpose(np.array([x, pt2]), (2, 3), leg),
-            [matcore.partial_transpose(m, (2, 3), leg) for m in (x, pt2)])
+    nptest.assert_array_equal(
+        matcore.partial_transpose(np.array([x, pt2]), (2, 3)),
+        [matcore.partial_transpose(m, (2, 3)) for m in (x, pt2)])
 
 
 @given(st.integers(0, 200))
 def test_partial_transpose_preserves_trace_and_hermiticity(seed):
     rng = _rng(seed)
     x = _random_hermitian(rng, 6)
-    g = matcore.partial_transpose(x, (3, 2), "second")
+    g = matcore.partial_transpose(x, (3, 2))
     assert abs(np.trace(g) - np.trace(x)) < 1e-12
     nptest.assert_allclose(g, g.conj().T, atol=1e-12)
 
@@ -157,20 +156,16 @@ def test_partial_trace_oracles():
     a = _random_hermitian(rng, 2)
     b = _random_hermitian(rng, 3)
     x = np.kron(a, b)
-    nptest.assert_allclose(
-        matcore.partial_trace(x, (2, 3), "first"), np.trace(a) * b)
-    nptest.assert_allclose(
-        matcore.partial_trace(x, (2, 3), "second"), np.trace(b) * a)
+    nptest.assert_allclose(matcore.partial_trace(x, (2, 3)), np.trace(a) * b)
     f = matcore.embedded_swap(2, 2, 2)
-    nptest.assert_allclose(matcore.partial_trace(f, (2, 2), "first"),
-                           np.eye(2))
+    nptest.assert_allclose(matcore.partial_trace(f, (2, 2)), np.eye(2))
 
 
 def test_partial_shape_mismatch():
     with pytest.raises(DimensionError):
-        matcore.partial_transpose(np.eye(5), (2, 3), "second")
+        matcore.partial_transpose(np.eye(5), (2, 3))
     with pytest.raises(DimensionError):
-        matcore.partial_trace(np.eye(6), (2, 2), "first")
+        matcore.partial_trace(np.eye(6), (2, 2))
 
 
 def test_matrix_unit():
@@ -221,7 +216,7 @@ def test_pauli_x_spectrum():
 
 def test_partial_trace_identity_factor():
     nptest.assert_allclose(
-        matcore.partial_trace(np.eye(6), (2, 3), "first"), 2 * np.eye(3))
+        matcore.partial_trace(np.eye(6), (2, 3)), 2 * np.eye(3))
 
 
 @given(st.integers(0, 100))
@@ -248,7 +243,7 @@ def test_kron_multiplicative_and_associative(seed):
 def test_partial_transpose_frobenius_isometry(seed):
     rng = _rng(seed)
     x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    g = matcore.partial_transpose(x, (2, 3), "first")
+    g = matcore.partial_transpose(x, (2, 3))
     assert abs(matcore.frobenius_norm(g) - matcore.frobenius_norm(x)) < 1e-12
 
 

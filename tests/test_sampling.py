@@ -47,7 +47,7 @@ def test_unital_channel_choi_unital(seed):
     assert matcore.min_eigenvalue(c) >= -1e-10
     # unital: Tr over the domain leg gives the identity on the output leg
     nptest.assert_allclose(
-        matcore.partial_trace(c, (d, d), "first"), np.eye(d), atol=1e-10)
+        matcore.partial_trace(c, (d, d)), np.eye(d), atol=1e-10)
 
 
 def test_hermitian_choi():

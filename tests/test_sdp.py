@@ -372,7 +372,7 @@ def test_reduction_program_keeps_a_stack_of_its_dense_rows_only():
 
     prob = cbnorm._upper_problem(maps.reduction_map(6))
     assert prob.num_constraints == 2663
-    system = cbnorm._UpperSystem(prob, 6, 6)
+    system = cbnorm._UpperSystem(sdp._Compiled(prob), 6, 6)
     eye = np.eye(72, dtype=np.complex128)
     assert system.factor([sdp._nt_scaling(eye, eye)]) is system
     arrays = [a for a in vars(system).values() if isinstance(a, np.ndarray)]
@@ -471,6 +471,28 @@ def test_cb_programs_never_reach_the_qr(monkeypatch):
         assert (dropped, inconsistent) == ([], None)
 
 
+def test_system_is_built_from_the_kept_rows():
+    # the third row is the sum of the first two: the solve drops one row
+    # and builds its Newton system from the p - 1 rows it keeps
+    e0, e1 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
+    prob = sdp.SdpProblem(
+        blocks=(3,), objective=(np.eye(3),),
+        constraints=((0.5, (e0,)), (0.25, (e1,)), (0.75, (e0 + e1,))))
+    built = []
+
+    def system(comp):
+        built.append(comp)
+        return sdp._DenseSystem(comp)
+
+    sol = sdp.solve(prob, system)
+    (comp,) = built
+    assert comp.p == len(comp.keep) == prob.num_constraints - 1
+    assert comp.csr[0].shape[0] == comp.p
+    assert (comp.csr[0] != prob.rows[0][comp.keep]).nnz == 0
+    assert sol.status == "optimal" and "dropped 1" in sol.message
+    assert _solution_bytes(sol) == _solution_bytes(sdp.solve(prob))
+
+
 def _solution_bytes(sol):
     return [a.tobytes() for a in sol.primal + sol.dual_slack + (sol.dual_y,)]
 
@@ -485,10 +507,11 @@ def test_buffers_do_not_carry_over_between_solves():
     other = maps.LinearMapRep(2, 3, sampling.complex_gaussian(rng, (6, 6)))
 
     def run(f, with_system):
-        prob = cbnorm._upper_problem(f)
-        system = (cbnorm._UpperSystem(prob, f.dim_in, f.dim_out)
-                  if with_system else None)
-        return sdp.solve(prob, system)
+        def system(comp):
+            return cbnorm._UpperSystem(comp, f.dim_in, f.dim_out)
+
+        return sdp.solve(cbnorm._upper_problem(f),
+                         system if with_system else None)
 
     for with_system in (False, True):
         a, b, c = (run(f, with_system) for f in (first, other, first))

@@ -21,18 +21,24 @@ def _rng(seed):
     return sampling.rng_from(0x5E9A, seed)
 
 
+def _npt_margin(lam, part):
+    """The margin of a pair whose partial transpose has least eigenvalue
+    lam < -PSD_SLACK."""
+    return lam + separability.PSD_SLACK * max(1.0, matcore.operator_norm(part))
+
+
 def test_ppt_check_on_swap_perturbation():
+    # lambda_min(x^G) = -0.2 and ||x|| = 1.6
     x = _single(M2, M2, np.eye(4) - 0.6 * matcore.embedded_swap(2, 2, 2))
-    ok, margins = separability.ppt_check(x)
-    assert not ok
-    assert abs(margins[0] + 0.2) < 1e-12
+    (margin,) = separability.ppt_check(x)
+    assert abs(margin - (-0.2 + 1.6 * separability.PSD_SLACK)) < 1e-12
 
 
 def test_ppt_check_identity():
     x = oracles.bipartite_identity(algebra.FdAlgebra((2, 3)), M2)
-    ok, margins = separability.ppt_check(x)
-    assert ok
-    assert all(abs(m - 1.0) < 1e-12 for m in margins)
+    margins = separability.ppt_check(x)
+    assert len(margins) == len(x.pairs())
+    assert all(abs(m - 1.0 - separability.PSD_SLACK) < 1e-12 for m in margins)
 
 
 def test_ppt_check_scales_tolerance_and_skips_needless_norms(monkeypatch):
@@ -40,15 +46,16 @@ def test_ppt_check_scales_tolerance_and_skips_needless_norms(monkeypatch):
     norm = matcore.operator_norm
     monkeypatch.setattr(matcore, "operator_norm",
                         lambda m: calls.append(1) or norm(m))
-    # margin -1 passes -slack * ||part|| = -10 but not -slack: the norm decides
+    # lambda_min(x^G) = -1 passes -slack * ||part|| (about -15) but not
+    # -slack: the norm decides
     monkeypatch.setattr(separability, "PSD_SLACK", 1e-3)
     part = 1e4 * np.eye(4) - (1e4 + 1.0) * matcore.embedded_swap(2, 2, 2) / 2
     big = _single(M2, M2, part)
-    ok, margins = separability.ppt_check(big)
-    assert abs(margins[0] + 1.0) < 1e-9 and ok and len(calls) == 1
+    (margin,) = separability.ppt_check(big)
+    assert abs(margin - (-1.0 + 1e-3 * 15000.5)) < 1e-9 and len(calls) == 1
     calls.clear()
-    ok, _ = separability.ppt_check(oracles.bipartite_identity(M2, M3))
-    assert ok and calls == []
+    margins = separability.ppt_check(oracles.bipartite_identity(M2, M3))
+    assert min(margins) >= 0 and calls == []
 
 
 def _witness_problem(part, dims):
@@ -57,7 +64,7 @@ def _witness_problem(part, dims):
     minimize Tr(C1 x) + Tr(C2 x^G)  subject to  Tr C1 + Tr C2 = 1.
     """
     d = part.shape[0]
-    gamma = matcore.partial_transpose(part, dims, "second")
+    gamma = matcore.partial_transpose(part, dims)
     eye = np.eye(d, dtype=np.complex128)
     return sdp.SdpProblem(blocks=(d, d), objective=(part, gamma),
                           constraints=((1.0, (eye, eye)),))
@@ -66,7 +73,7 @@ def _witness_problem(part, dims):
 def _witness_oracle(part, dims):
     return min(
         matcore.min_eigenvalue(part),
-        matcore.min_eigenvalue(matcore.partial_transpose(part, dims, "second")),
+        matcore.min_eigenvalue(matcore.partial_transpose(part, dims)),
     )
 
 
@@ -137,9 +144,8 @@ def test_extremal_entangled_is_certified():
 
 def test_extremal_entangled_ppt_margin():
     x = separability.extremal_direction(M3, M3, eps=0.05)
-    ok, margins = separability.ppt_check(x)
-    assert not ok
-    assert abs(margins[0] + 0.05) < 1e-10
+    (margin,) = separability.ppt_check(x)
+    assert abs(margin - _npt_margin(-0.05, x.part(0, 0))) < 1e-10
 
 
 def test_boundary_swap_is_separable():
@@ -252,9 +258,8 @@ def test_dilation_embed_rejects_bad_radius():
 
 def test_extremal_direction_margin():
     x = separability.extremal_direction(M2, M3, eps=0.05)
-    ok, margins = separability.ppt_check(x)
-    assert not ok
-    assert abs(min(margins) + 0.05) < 1e-10
+    (margin,) = separability.ppt_check(x)
+    assert abs(margin - _npt_margin(-0.05, x.part(0, 0))) < 1e-10
 
 
 def test_extremal_direction_needs_rank_two():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sepball import algebra, cbnorm, sdp, separability, theorems, verify
+from sepball import algebra, cbnorm, maps, sdp, separability, theorems, verify
 from sepball.errors import DimensionError, SizeCapError
 
 
@@ -35,8 +35,7 @@ def test_gamma_certificate_exact_fraction():
     assert value == Fraction(1, 3)
     assert evidence.rows[0].entangled == 0
     assert extremal is not None
-    ok, _ = separability.ppt_check(extremal)
-    assert not ok
+    assert min(separability.ppt_check(extremal)) < 0
 
 
 def test_gamma_no_extremal_at_rank_one():
@@ -58,9 +57,31 @@ def test_kappa_matrix_check():
     assert all(c.passed for c in report.checks)
 
 
-def test_kappa_cap():
+def test_kappa_cap(monkeypatch):
+    # the corner transpose's Choi matrix has side n m and the outputs of
+    # Id_n (x) phi side n n, so both are capped
+    assert theorems.kappa_matrix_check(7, 20)[1].passed
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("applied the corner transpose past the cap")
+
+    monkeypatch.setattr(maps, "apply_to_second_leg", refuse)
+    for n, m in ((13, 13), (13, 1), (20, 7), (144, 1)):
+        with pytest.raises(SizeCapError):
+            theorems.kappa_matrix_check(n, m)
+
+
+@pytest.mark.parametrize("ranks", [(13, 12), (13, 1), (64, 2)])
+def test_rank_formula_refuses_an_oversized_pair_before_building(
+        monkeypatch, ranks):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a witness or a scan past the cap")
+
+    monkeypatch.setattr(maps, "embedded_transpose", refuse)
+    monkeypatch.setattr(separability, "sep_ball_scan", refuse)
     with pytest.raises(SizeCapError):
-        theorems.kappa_matrix_check(13, 13)
+        theorems.rank_formula_report(algebra.FdAlgebra((ranks[0],)),
+                                     algebra.FdAlgebra((ranks[1],)), samples=1)
 
 
 def test_rank_formula_report_product_identity():

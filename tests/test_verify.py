@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 
@@ -66,6 +67,34 @@ def test_scan_checks():
                               "row-1-counts", "row-1-directed-npt",
                               "onset-consistent"]
     assert all(c.passed for c in checks)
+
+
+def _failed(checks):
+    """The failed checks as (name, margin), each failure checked for a
+    negative margin by ``_names``."""
+    _names(checks)
+    return [(c.name, c.margin) for c in checks if not c.passed]
+
+
+def test_row_counts_one_short_fails_with_negative_margin():
+    rep = separability.sep_ball_scan(M2, M2, (0.4,), samples=2)
+    row = rep.rows[0]
+    short = dataclasses.replace(rep, rows=(dataclasses.replace(
+        row, separable=row.separable - 1),))
+    assert _failed(verify.scan(short)) == [("row-0-counts", -1.0)]
+
+
+def test_onset_inconsistent_fails_with_negative_margin():
+    rep = separability.sep_ball_scan(M2, M2, (0.4, 0.6), samples=1)
+    assert rep.onset == 0.6
+    wrong = dataclasses.replace(rep, onset=0.4)
+    assert _failed(verify.scan(wrong)) == [("onset-consistent", -1.0)]
+
+
+def test_eta_gamma_product_fails_with_negative_margin():
+    report = theorems.rank_formula_report(M2, M2, samples=1)
+    wrong = dataclasses.replace(report, gamma_value=Fraction(1, 3))
+    assert _failed(verify.rank_report(wrong)) == [("eta-gamma-product", -1.0)]
 
 
 def test_rank_and_kappa_report_checks():
