@@ -156,9 +156,20 @@ def _write_scalar_leg(path: Path) -> None:
     path.write_text(jsonio.dumps(jsonio.encode_element(x)))
 
 
-def run_battery(outdir: Path, inputs: Path) -> list[bytes]:
-    outputs = []
-    file_argv = [
+def write_inputs(base: Path) -> None:
+    """Write the files that the commands of ``battery(base)`` read."""
+    _write_problem(base / "problem.json")
+    _write_cb_problem(base / "cb23.json")
+    _write_mixed_problem(base / "mixed.json")
+    _write_map(base / "map34.json")
+    _write_scalar_leg(base / "scalar_leg.json")
+    _write_decomposable(base / "dec55.json")
+
+
+def battery(inputs: Path) -> list[list[str]]:
+    """Every command of the battery: ``BATTERY``, then the ones that read
+    the files that ``write_inputs(inputs)`` wrote."""
+    return BATTERY + [
         ["sdp-solve", "--problem", str(inputs / "problem.json"), "--verify"],
         ["sdp-solve", "--problem", str(inputs / "mixed.json"), "--verify"],
         ["cbnorm", "--map", f"file:{inputs / 'map34.json'}", "--verify"],
@@ -167,7 +178,11 @@ def run_battery(outdir: Path, inputs: Path) -> list[bytes]:
          "--verify"],
         ["cbnorm", "--map", f"file:{inputs / 'dec55.json'}", "--verify"],
     ]
-    for i, argv in enumerate(BATTERY + file_argv):
+
+
+def run_battery(outdir: Path, inputs: Path) -> list[bytes]:
+    outputs = []
+    for i, argv in enumerate(battery(inputs)):
         out = outdir / f"run{i:02d}.json"
         t0 = time.monotonic()
         code = cli.dispatch(argv + ["--out", str(out)])
@@ -199,12 +214,7 @@ def main() -> None:
     t0 = time.monotonic()
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
-        _write_problem(base / "problem.json")
-        _write_cb_problem(base / "cb23.json")
-        _write_mixed_problem(base / "mixed.json")
-        _write_map(base / "map34.json")
-        _write_scalar_leg(base / "scalar_leg.json")
-        _write_decomposable(base / "dec55.json")
+        write_inputs(base)
         dir_a = base / "a"
         dir_b = base / "b"
         dir_a.mkdir()

@@ -44,6 +44,10 @@ halves (Bjorck and Golub, Math. Comp. 27, 1973).  There the Schur block
 of the 2q^2 pair rows is block diagonal in 2 x 2 blocks with a
 closed-form Cholesky factor, and only the 2m^2 - 1 trace rows get a
 dense Cholesky, of their Schur complement.
+
+As in ``sdp``, scipy is imported only where the program is built
+(``_upper_problem``), so a map that ``closed_form`` settles never loads
+it.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from . import matcore, maps, sampling, sdp
 from .errors import ConvergenceError, DimensionError
@@ -141,6 +144,7 @@ def _upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
         o = j * q + i * m  # the block Y_jj, its diagonal block i
         entries.append((p_pair + t, (o + a) * big + o + c, hs[t, j, a, c]))
 
+    import scipy.sparse
     p = p_pair + len(hs)
     r, col, val = (np.concatenate(x) for x in zip(*entries))
     rows = scipy.sparse.csr_matrix((val, (r, col)), shape=(p, big * big))

@@ -19,12 +19,17 @@ from .errors import DimensionError, SizeCapError
 MAP_SIZE_CAP = 144  # largest dim_in * dim_out of a map read from input
 
 
-def check_size(n: int, m: int) -> None:
-    """Refuse a map M_n -> M_m with n m above ``MAP_SIZE_CAP``, before its
-    Choi matrix of (n m)^2 entries is built."""
+def check_size(n: int, m: int, side: str | None = None) -> None:
+    """Refuse a matrix of side n m above ``MAP_SIZE_CAP`` before it is built.
+
+    By default the matrix is the Choi matrix of a map M_n -> M_m, and the
+    refusal reads "map size n * m".  A caller that derives n and m from
+    its own inputs passes ``side``, which names those inputs and how the
+    side follows from them, and the refusal gives the side's value.
+    """
     if n > 0 and m > 0 and n * m > MAP_SIZE_CAP:
-        raise SizeCapError(
-            f"map size {n} * {m} exceeds the cap {MAP_SIZE_CAP}")
+        what = f"map size {n} * {m}" if side is None else f"{side} = {n * m}"
+        raise SizeCapError(f"{what} exceeds the cap {MAP_SIZE_CAP}")
 
 
 @dataclass(frozen=True)

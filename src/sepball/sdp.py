@@ -37,6 +37,13 @@ eigvalsh of an elementwise rescaled direction and the corrector's
 Lyapunov equation is solved entrywise.  The step fraction to the
 boundary and the identity infeasible start are fixed constants, so
 repeated solves of the same problem are bitwise identical.
+
+scipy (the CSR rows, the pivoted QR and the Cholesky routines) is
+imported inside the functions that build or solve a problem, never at
+module level.  The commands that the closed forms answer (``gamma-scan``,
+``sep-check``, ``eta``, ``kappa`` and ``cbnorm`` on most named maps)
+import this module but never solve, and importing scipy would be about
+half of their start-up time and a third of their memory.
 """
 
 from __future__ import annotations
@@ -44,8 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from . import matcore
 from .errors import ConvergenceError, DimensionError
@@ -91,6 +96,7 @@ class SdpProblem:
                 )
             for flat, a, d in zip(flats, mats, blocks):
                 flat.append(matcore.check_hermitian(_sized(a, d)).ravel())
+        import scipy.sparse
         self._store(blocks, obj, rhs, tuple(
             scipy.sparse.csr_matrix(np.array(f)) for f in flats))
 
@@ -276,6 +282,7 @@ class _DenseSystem:
         holds M as M is symmetric.  A failed attempt leaves the buffer
         partly factored, so it is refilled from B before the next one.
         """
+        import scipy.linalg
         m = self.schur(scal)
         # min and max carry any nan or inf, with no p x p temporary
         _require_finite(None, "the Schur complement",
@@ -289,11 +296,12 @@ class _DenseSystem:
                 self.factor_l = scipy.linalg.cho_factor(
                     m.T, lower=True, overwrite_a=True, check_finite=False)[0]
                 return self
-            except scipy.linalg.LinAlgError:
+            except np.linalg.LinAlgError:  # the class scipy raises
                 continue
         return None
 
     def solve(self, rhs) -> np.ndarray:
+        import scipy.linalg
         if len(rhs) == 0:
             return np.zeros(0)
         # solve() checks the result: a non-finite rhs makes it non-finite
@@ -314,6 +322,8 @@ def _independent_rows(rows, b):
     peeled has coefficient 0, given those of the rows peeled before it.
     A pivoted QR of the rows left decides them.
     """
+    import scipy.linalg
+    import scipy.sparse
     p = len(b)
     v = scipy.sparse.hstack([x for a in rows for x in (a.real, a.imag)],
                             format="csr")

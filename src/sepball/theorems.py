@@ -127,7 +127,8 @@ def kappa_matrix_check(n: int, m: int):
     if n < 1 or m < 1:
         raise DimensionError(f"matrix sizes must be positive, got ({n}, {m})")
     # phi's Choi matrix has side n m and (Id_n (x) phi)'s outputs side n n
-    maps.check_size(n, max(n, m))
+    maps.check_size(n, max(n, m), f"--n {n} --m {m}: a matrix of side "
+                    "n * max(n, m)")
     d = min(n, m)
     phi = maps.embedded_transpose(d, m, n)
     cb = cbnorm.closed_form(phi)
@@ -174,7 +175,9 @@ def rank_formula_report(alg_a: algebra.FdAlgebra, alg_b: algebra.FdAlgebra,
     The eta witness and the scan's largest part have side rank_a * rank_b,
     and kappa's outputs side rank_a * rank_a, so kappa's size check runs
     before any of them is built."""
-    maps.check_size(alg_a.rank, max(alg_a.rank, alg_b.rank))
+    maps.check_size(alg_a.rank, max(alg_a.rank, alg_b.rank),
+                    f"ranks {alg_a.rank} and {alg_b.rank}: a matrix of side "
+                    "rank A * max(rank A, rank B)")
     eta_value, eta_witness = eta_certificate(alg_a, alg_b)
     gamma_value, evidence, gamma_witness = gamma_certificate(
         alg_a, alg_b, samples=samples, seed=seed)

@@ -194,6 +194,24 @@ def test_kappa(capsys):
     assert doc["passed"] is True
 
 
+def test_kappa_refusal_names_its_inputs(capsys):
+    # Id_n (x) phi's outputs have side n n, so --n 144 --m 1 is refused;
+    # the message names --n and --m and that side, not a map of 144 * 144
+    code, out, err = _run(capsys, "kappa", "--n", "144", "--m", "1")
+    assert (code, out) == (1, "")
+    assert err == ("sepball: error: --n 144 --m 1: a matrix of side "
+                   "n * max(n, m) = 20736 exceeds the cap "
+                   f"{maps.MAP_SIZE_CAP}\n")
+
+
+def test_eta_refusal_names_its_ranks(capsys):
+    code, out, err = _run(capsys, "eta", "--algA", "20", "--algB", "7")
+    assert (code, out) == (1, "")
+    assert err == ("sepball: error: ranks 20 and 7: a matrix of side "
+                   "rank A * max(rank A, rank B) = 400 exceeds the cap "
+                   f"{maps.MAP_SIZE_CAP}\n")
+
+
 def test_sdp_solve_roundtrip(tmp_path, capsys):
     prob = sdp.SdpProblem(
         blocks=(2,),
@@ -552,10 +570,12 @@ def test_overflowing_element_names_the_part(tmp_path, capsys, cells, extra):
                    "overflows the float range\n")
 
 
-def _fresh_interpreter(argv):
+def _fresh_interpreter(*args):
+    """(exit code, stdout, stderr) of a new Python process on this
+    checkout's sepball."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "sepball.cli", *argv],
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env,
                           timeout=300)
     return proc.returncode, proc.stdout, proc.stderr
@@ -580,6 +600,55 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
     for argv, result in zip(sequence, results):
         key = tuple(argv)
         if key not in fresh:
-            fresh[key] = _fresh_interpreter(argv)
+            fresh[key] = _fresh_interpreter("-m", "sepball.cli", *argv)
         assert result == fresh[key], argv
     assert results[0][1] != results[3][1]  # --verify adds its checks
+
+
+# Runs in a fresh interpreter, since this one has imported scipy already.
+# argv[1] is a JSON list of argvs; prints, per argv, its exit code and
+# whether scipy was loaded after it, once every submodule is imported.
+_SCIPY_PROBE = """
+import contextlib, importlib, io, json, pkgutil, sys
+import sepball
+from sepball import cli
+loaded = {}
+for info in pkgutil.iter_modules(sepball.__path__):
+    importlib.import_module("sepball." + info.name)
+    loaded[info.name] = "scipy" in sys.modules
+runs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.dispatch(argv)
+    runs.append((code, "scipy" in sys.modules))
+print(json.dumps({"modules": loaded, "runs": runs}))
+"""
+
+
+def _scipy_probe(argvs):
+    code, out, err = _fresh_interpreter("-c", _SCIPY_PROBE, json.dumps(argvs))
+    assert code == 0, err
+    return json.loads(out)
+
+
+def test_commands_without_a_solve_never_load_scipy():
+    argvs = [
+        ["gamma-scan", "--algA", "2,3", "--algB", "3", "--radii",
+         "0.3,0.34,0.4", "--samples", "4", "--verify"],
+        ["sep-check", "--element", "id_minus:gue:0.45", "--algA", "2",
+         "--algB", "2", "--seed", "3", "--verify"],
+        ["eta", "--algA", "2,3", "--algB", "4", "--samples", "2",
+         "--verify"],
+        ["kappa", "--n", "3", "--m", "3", "--verify"],
+        ["cbnorm", "--map", "transpose:3", "--verify"],
+    ]
+    probe = _scipy_probe(argvs)
+    assert len(probe["modules"]) == 12
+    assert not any(probe["modules"].values()), probe["modules"]
+    assert probe["runs"] == [[0, False]] * len(argvs)
+
+
+def test_a_solve_imports_scipy_where_it_is_used():
+    # reduction:3 is left open by the closed form, so the SDP answers it
+    probe = _scipy_probe([["cbnorm", "--map", "reduction:3", "--verify"]])
+    assert probe["runs"] == [[0, True]]
