@@ -45,9 +45,9 @@ of the 2q^2 pair rows is block diagonal in 2 x 2 blocks with a
 closed-form Cholesky factor, and only the 2m^2 - 1 trace rows get a
 dense Cholesky, of their Schur complement.
 
-As in ``sdp``, scipy is imported only where the program is built
-(``_upper_problem``), so a map that ``closed_form`` settles never loads
-it.
+Neither the program's rows, held as ``sdp.Rows``, nor its Newton system
+use scipy, and every row peels in the solver's dependent-row check, so
+``cbnorm`` never loads scipy.
 """
 
 from __future__ import annotations
@@ -144,10 +144,9 @@ def _upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
         o = j * q + i * m  # the block Y_jj, its diagonal block i
         entries.append((p_pair + t, (o + a) * big + o + c, hs[t, j, a, c]))
 
-    import scipy.sparse
     p = p_pair + len(hs)
-    r, col, val = (np.concatenate(x) for x in zip(*entries))
-    rows = scipy.sparse.csr_matrix((val, (r, col)), shape=(p, big * big))
+    rows = sdp.Rows.from_entries(*(np.concatenate(x) for x in zip(*entries)),
+                                 (p, big * big))
     rhs = np.zeros(p)
     rhs[:p_pair] = 2.0 * psi.choi.ravel().view(np.float64)  # re, im, ...
     return sdp.SdpProblem.from_rows((big,), [np.eye(big)], rhs, (rows,))

@@ -332,6 +332,11 @@ def dispatch(argv) -> int:
     except (SepballError, OSError) as exc:
         sys.stderr.write(f"{PROG}: error: {exc}\n")
         return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"{PROG}: error: {args.command} ran out of memory"
+                         f"{detail}\n")
+        return 1
 
 
 def main() -> None:

@@ -11,21 +11,21 @@ blocks are handled natively: the Nesterov-Todd scaling, the Schur
 complement and all eigencomputations run in complex arithmetic, never
 through a doubled real embedding.
 
-Constraint rows are stored once, as one CSR matrix per block.  A solve
-first drops dependent rows, named in the solution's message: rows that
-own an entry are kept, and a pivoted QR decides the rest
+Constraint rows are stored once, as one ``Rows`` per block: the nonzero
+entries of the block's rows in three numpy arrays.  A solve first drops
+dependent rows, named in the solution's message: rows that own an entry
+are kept, and a pivoted QR decides the rest
 (``_independent_rows``).  Each Newton step solves M dy = r for the Schur
 matrix M_ij = sum_blocks Tr(A_i W A_j W) of the NT scaling W, through a
 Newton-system object that is factored once per iteration and solved
 twice.  By default that is ``_DenseSystem``: M = B B^T for the scaled
 rows B_i = G* A_i G (W = G G*), factored by a dense Cholesky in a buffer
-allocated once per solve.  A caller that knows its rows' structure
-passes its own system.  ``cbnorm`` does so for its program: in the NT
-factor's frame (Todd, Toh and Tutuncu, below), rotated into the
-principal angles between the ranges of G's two halves (Bjorck and Golub,
-Math. Comp. 27, 1973), the Schur block of its pair rows splits into
-2 x 2 blocks, and only its few trace rows get a dense Cholesky, so M is
-never formed.
+allocated once per solve.  A caller that knows its rows' structure passes
+its own system.  ``cbnorm`` does so for its program: in the NT factor's
+frame (Todd, Toh and Tutuncu, below), rotated into the principal angles
+between the ranges of G's two halves (Bjorck and Golub, Math. Comp. 27,
+1973), the Schur block of its pair rows splits into 2 x 2 blocks, and
+only its few trace rows get a dense Cholesky, so M is never formed.
 
 The search direction is the Nesterov-Todd one with a Mehrotra
 predictor-corrector, formed in the scaled frame of Todd, Toh and
@@ -38,12 +38,12 @@ Lyapunov equation is solved entrywise.  The step fraction to the
 boundary and the identity infeasible start are fixed constants, so
 repeated solves of the same problem are bitwise identical.
 
-scipy (the CSR rows, the pivoted QR and the Cholesky routines) is
-imported inside the functions that build or solve a problem, never at
-module level.  The commands that the closed forms answer (``gamma-scan``,
-``sep-check``, ``eta``, ``kappa`` and ``cbnorm`` on most named maps)
-import this module but never solve, and importing scipy would be about
-half of their start-up time and a third of their memory.
+scipy is imported only where its routines run, never at module level:
+the pivoted QR of the rows that the peel leaves to it, and the dense
+Cholesky of ``_DenseSystem``.  ``cbnorm``'s program peels every row and
+has its own Newton system, so it never loads scipy; only ``sdp-solve``,
+or a problem whose rows do not all peel, does.  Importing scipy would
+be about half of a command's start-up time and a third of its memory.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ LOOSE_MERIT = 1e-7  # accept early-terminated iterates up to this KKT merit
 class SdpProblem:
     """Standard-form problem data; all coefficient matrices Hermitian.
 
-    ``rows[j]`` is one CSR matrix of shape (p, d_j**2) whose row i holds
+    ``rows[j]`` is the ``Rows`` of shape (p, d_j**2) whose row i holds
     block j of A_i, row-major, as its Hermitian part; ``rhs[i]`` is b_i.
     ``constraints`` builds the dense (b_i, matrices) tuples on demand.
     """
@@ -96,9 +96,8 @@ class SdpProblem:
                 )
             for flat, a, d in zip(flats, mats, blocks):
                 flat.append(matcore.check_hermitian(_sized(a, d)).ravel())
-        import scipy.sparse
-        self._store(blocks, obj, rhs, tuple(
-            scipy.sparse.csr_matrix(np.array(f)) for f in flats))
+        self._store(blocks, obj, rhs,
+                    tuple(Rows.from_dense(np.array(f)) for f in flats))
 
     @classmethod
     def from_rows(cls, blocks, objective, rhs, rows) -> SdpProblem:
@@ -110,7 +109,7 @@ class SdpProblem:
 
     def _store(self, blocks, obj, rhs, rows) -> None:
         if not all(np.isfinite(a).all()
-                   for a in obj + (rhs,) + tuple(r.data for r in rows)):
+                   for a in obj + (rhs,) + tuple(r.value for r in rows)):
             raise DimensionError("the Hermitian parts of the problem data "
                                  "overflow the float range")
         object.__setattr__(self, "blocks", blocks)
@@ -128,6 +127,68 @@ class SdpProblem:
     @property
     def num_constraints(self) -> int:
         return len(self.rhs)
+
+
+class Rows:
+    """The constraint rows of one block of size d: a (p, d**2) complex
+    matrix held as its nonzero entries, ``value[k]`` at (``row[k]``,
+    ``col[k]``), sorted by row and then by column, one entry per position.
+    Row i is the block's A_i, row-major.
+    """
+
+    def __init__(self, row, col, value, shape):
+        """Entries already in that form; see ``from_entries``."""
+        self.row, self.col, self.value = row, col, value
+        self.shape = shape
+
+    @classmethod
+    def from_entries(cls, row, col, value, shape) -> Rows:
+        """Entries in any order: those at one position are summed, and
+        zero sums dropped."""
+        order = np.lexsort((col, row))
+        row, col, value = row[order], col[order], value[order]
+        first = np.ones(len(row), dtype=bool)
+        first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+        at = np.flatnonzero(first)
+        row, col, value = row[at], col[at], np.add.reduceat(value, at)
+        nonzero = value != 0
+        return cls(row[nonzero], col[nonzero], value[nonzero], shape)
+
+    @classmethod
+    def from_dense(cls, a) -> Rows:
+        """The rows of a dense complex (p, d**2) matrix."""
+        row, col = np.nonzero(a)
+        return cls(row, col, a[row, col], a.shape)
+
+    def apply(self, x) -> np.ndarray:
+        """Re Tr(A_i X) = Re sum conj(A_i) o X per row i, for Hermitian
+        A_i and a d x d (or flat) X."""
+        x = np.reshape(x, -1)[self.col]
+        return np.bincount(self.row, self.value.real * x.real
+                           + self.value.imag * x.imag, minlength=self.shape[0])
+
+    def adjoint(self, y) -> np.ndarray:
+        """sum_i y_i A_i, row-major, for real y."""
+        w = y[self.row]
+        out = np.empty(self.shape[1], dtype=np.complex128)
+        out.real = np.bincount(self.col, self.value.real * w,
+                               minlength=self.shape[1])
+        out.imag = np.bincount(self.col, self.value.imag * w,
+                               minlength=self.shape[1])
+        return out
+
+    def take(self, keep) -> Rows:
+        """The rows ``keep`` (increasing), renumbered in that order."""
+        index = np.full(self.shape[0], -1)
+        index[keep] = np.arange(len(keep))
+        mask = index[self.row] >= 0
+        return Rows(index[self.row[mask]], self.col[mask], self.value[mask],
+                    (len(keep), self.shape[1]))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.complex128)
+        out[self.row, self.col] = self.value
+        return out
 
 
 def _checked_head(blocks, objective):
@@ -201,7 +262,7 @@ class _Compiled:
             if dropped:
                 self.note = (f"dropped {len(dropped)} linearly dependent "
                              f"constraint rows: {dropped}")
-                rows = [r[keep] for r in rows]
+                rows = [r.take(keep) for r in rows]
             if bad is not None:
                 self.inconsistent = _joined(self.note, (
                     f"constraint {bad} is a linear combination of the others "
@@ -210,22 +271,21 @@ class _Compiled:
         self.keep = keep
         self.b = b[keep]
         self.p = len(keep)
-        self.csr = list(rows)
-        self.csr_conj = [a.conj().tocsr() for a in self.csr]
-        self.csr_t = [a.T.tocsr() for a in self.csr]
+        self.rows = list(rows)
         self.norm_b = float(np.linalg.norm(self.b))
         self.norm_c = float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in self.C)))
 
     def apply(self, xs) -> np.ndarray:
         """A(X): the vector of constraint values."""
         out = np.zeros(self.p)
-        for a, x in zip(self.csr_conj, xs):
-            out += np.real(a @ x.reshape(-1))
+        for a, x in zip(self.rows, xs):
+            out += a.apply(x)
         return out
 
     def adjoint(self, y):
         """A*(y): one Hermitian matrix per block."""
-        return [(a @ y).reshape(d, d) for a, d in zip(self.csr_t, self.blocks)]
+        return [a.adjoint(y).reshape(d, d) for a, d in zip(self.rows,
+                                                           self.blocks)]
 
 
 def cholesky_shifts(m) -> list[float]:
@@ -251,7 +311,7 @@ class _DenseSystem:
 
     def __init__(self, comp: _Compiled):
         self.stacks = [r.toarray().reshape(-1, d, d)
-                       for r, d in zip(comp.csr, comp.blocks)]
+                       for r, d in zip(comp.rows, comp.blocks)]
         # Each row is divided by a power of two near its largest entry,
         # which is exact, so that M stays in range for rows that are.
         top = np.max([np.abs(s).max(axis=(1, 2), initial=0.0)
@@ -322,29 +382,33 @@ def _independent_rows(rows, b):
     peeled has coefficient 0, given those of the rows peeled before it.
     A pivoted QR of the rows left decides them.
     """
-    import scipy.linalg
-    import scipy.sparse
     p = len(b)
-    v = scipy.sparse.hstack([x for a in rows for x in (a.real, a.imag)],
-                            format="csr")
-    v.eliminate_zeros()
-    row_of = np.repeat(np.arange(p), np.diff(v.indptr))
+    # The real matrix [Re A, Im A] of every block side by side, as its
+    # nonzero entries: data at (row_of, cols), width columns in all.
+    parts, width = [], 0
+    for a in rows:
+        for part in (a.value.real, a.value.imag):
+            parts.append((a.row, a.col + width, part))
+            width += a.shape[1]
+    row_of, cols, data = (np.concatenate(x) for x in zip(*parts))
+    nonzero = data != 0
+    row_of, cols, data = row_of[nonzero], cols[nonzero], data[nonzero]
     # Each row's sum of squares is taken on the row scaled by a power of
     # two near its largest entry, so it cannot overflow (or underflow)
     # and a row in range keeps every bit of its norm.
     top = np.zeros(p)
-    np.maximum.at(top, row_of, np.abs(v.data))
+    np.maximum.at(top, row_of, np.abs(data))
     unit = np.ldexp(1.0, np.frexp(top)[1])
-    norms = unit * np.sqrt(np.bincount(row_of, (v.data / unit[row_of]) ** 2,
+    norms = unit * np.sqrt(np.bincount(row_of, (data / unit[row_of]) ** 2,
                                        minlength=p))
     norms[norms == 0.0] = 1.0
-    v.data /= norms[row_of]
+    data = data / norms[row_of]
     b = b / norms
-    tol = 1e-12 * max(v.shape)  # the QR's rank threshold for diag[0] = 1
-    cols, big = v.indices, np.abs(v.data) > tol
+    tol = 1e-12 * max(p, width)  # the QR's rank threshold for diag[0] = 1
+    big = np.abs(data) > tol
     left = np.ones(p, dtype=bool)
     while True:
-        count = np.bincount(cols[left[row_of]], minlength=v.shape[1])
+        count = np.bincount(cols[left[row_of]], minlength=width)
         own = big & left[row_of] & (count[cols] == 1)
         if not own.any():
             break
@@ -352,8 +416,11 @@ def _independent_rows(rows, b):
     rest = np.flatnonzero(left)
     if len(rest) == 0:
         return np.arange(p), [], None
-    sub = v[rest]
-    sub = sub[:, np.unique(sub.indices)].toarray()  # the columns they touch
+    import scipy.linalg
+    mask = left[row_of]
+    touched, at = np.unique(cols[mask], return_inverse=True)
+    sub = np.zeros((len(rest), len(touched)))  # the columns they touch
+    sub[np.searchsorted(rest, row_of[mask]), at] = data[mask]
     b = b[rest]
     rmat, piv = scipy.linalg.qr(sub.T, mode="r", pivoting=True)
     diag = np.abs(np.diagonal(rmat))
@@ -627,8 +694,8 @@ def _unboundedness_certificate(comp, xs, pobj):
         return None
     scale = -pobj
     x_ray = [x / scale for x in xs]
-    row_sq = sum(np.asarray(abs(a).power(2).sum(axis=1)).ravel()
-                 for a in comp.csr)
+    row_sq = sum(np.bincount(a.row, np.abs(a.value) ** 2, minlength=comp.p)
+                 for a in comp.rows)
     row_norm = float(np.sqrt(np.max(row_sq, initial=0.0)))
     x_norm = float(np.sqrt(sum(np.linalg.norm(x) ** 2 for x in x_ray)))
     if float(np.linalg.norm(comp.apply(x_ray))) <= 1e-7 * x_norm * row_norm:

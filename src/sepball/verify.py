@@ -195,9 +195,8 @@ def sdp_solution(problem: sdp.SdpProblem,
     if sol.status not in ("optimal", "maxiter"):
         return (NamedCheck("certificate-emitted", True, 0.0),)
     b = problem.rhs
-    # <A_i, X> = sum_kl A_i[k, l] X[l, k]: row i of block j times X^T
-    vals = sum(np.real(r @ x.T.ravel()) for r, x in zip(problem.rows,
-                                                         sol.primal))
+    # <A_i, X> = Re Tr(A_i X) = Re sum_kl conj(A_i[k, l]) X*[k, l]
+    vals = sum(r.apply(x.conj().T) for r, x in zip(problem.rows, sol.primal))
     pres = float(np.linalg.norm(vals - b) / (1.0 + np.linalg.norm(b)))
     checks = [NamedCheck("primal-feasible", pres <= SOLVER_RESIDUAL_TOL,
                          SOLVER_RESIDUAL_TOL - pres)]
@@ -207,10 +206,10 @@ def sdp_solution(problem: sdp.SdpProblem,
                for j, z in enumerate(sol.dual_slack)]
     slack_gap = 0.0
     for c, z, r in zip(problem.objective, sol.dual_slack, problem.rows):
-        rebuilt = c - (r.T @ sol.dual_y).reshape(c.shape)
+        rebuilt = c - r.adjoint(sol.dual_y).reshape(c.shape)
         slack_gap = max(slack_gap, float(np.max(np.abs(rebuilt - z))))
     # relative to the largest entries of C and of y_i A_i, absolute below 1
-    a_max = max(float(np.max(np.abs(r.data), initial=0.0))
+    a_max = max(float(np.max(np.abs(r.value), initial=0.0))
                 for r in problem.rows)
     slack_tol = SOLVER_RESIDUAL_TOL * max(
         1.0, *(np.max(np.abs(c)) for c in problem.objective),

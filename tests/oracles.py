@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from sepball import algebra, maps, matcore, sampling, sdp, separability
 from sepball.errors import DimensionError, PositivityError
@@ -193,8 +192,7 @@ def two_block_upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
     rows = []
     for parts, d in zip(entries, blocks):
         r, col, val = (np.concatenate(x) for x in zip(*parts))
-        rows.append(scipy.sparse.csr_matrix((val, (r, col)),
-                                            shape=(p, d * d)))
+        rows.append(sdp.Rows.from_entries(r, col, val, (p, d * d)))
     rhs = np.zeros(p)
     rhs[:p_pair] = 2.0 * psi.choi.ravel().view(np.float64)  # re, im, ...
     objective = [np.zeros((big, big)), np.ones((1, 1))]
@@ -243,8 +241,7 @@ def four_block_upper_problem(psi: maps.LinearMapRep) -> sdp.SdpProblem:
     rows = []
     for parts, d in zip(entries, blocks):
         r, col, val = (np.concatenate(x) for x in zip(*parts))
-        rows.append(scipy.sparse.csr_matrix((val, (r, col)),
-                                            shape=(p, d * d)))
+        rows.append(sdp.Rows.from_entries(r, col, val, (p, d * d)))
     rhs = np.zeros(p)
     rhs[:p_pair] = 2.0 * psi.choi.ravel().view(np.float64)  # re, im, ...
     objective = [np.zeros((d, d)) for d in blocks[:3]] + [np.ones((1, 1))]

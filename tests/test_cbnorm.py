@@ -297,11 +297,12 @@ def test_upper_problem_matches_dense_construction(n, m):
         for x, y in zip(got.objective, want.objective):
             assert x.tobytes() == y.tobytes()
         (x,), (y,) = got.rows, want.rows
-        assert x.indptr.tobytes() == y.indptr.tobytes()
-        assert x.indices.tobytes() == y.indices.tobytes()
+        assert x.shape == y.shape
+        assert x.row.tobytes() == y.row.tobytes()
+        assert x.col.tobytes() == y.col.tobytes()
         # equal values; the dense constructor's Hermitian part may flip
         # the sign of a zero real or imaginary part of a negated entry
-        assert np.array_equal(x.data, y.data)
+        assert np.array_equal(x.value, y.value)
 
 
 def _decomposable(n, m):
@@ -370,6 +371,28 @@ def test_one_block_program_matches_the_two_block_one(name):
     assert closed.upper - closed.lower > 1e-3 * closed.upper  # SDP needed
     _assert_same_sandwich(cbnorm.cb_norm(f),
                           _oracle_sandwich(f, oracles.two_block_upper_problem))
+
+
+@pytest.mark.parametrize("n,m,seed", [(3, 4, 0), (3, 4, 1), (2, 3, 0),
+                                      (2, 3, 1)])
+def test_cb_norm_is_invariant_under_local_unitaries(n, m, seed):
+    # conjugating Choi(phi) by U (x) V composes phi with a unitary
+    # conjugation on each side, which keeps the cb norm: the lower bound
+    # of either sandwich is below the upper bound of the other
+    rng = sampling.rng_from(0x10C, n, m, seed)
+    phi = maps.LinearMapRep(n, m, oracles.random_complex_choi(rng, n, m))
+    w = matcore.kron(oracles.random_unitary(rng, n),
+                     oracles.random_unitary(rng, m))
+    turned = maps.LinearMapRep(n, m, w @ phi.choi @ w.conj().T)
+    results = []
+    for f in (phi, turned):
+        closed = cbnorm.closed_form(f)
+        assert closed.upper - closed.lower > 1e-3 * closed.upper  # SDP needed
+        res = cbnorm.cb_norm(f)
+        assert all(c.passed for c in verify.cbnorm_result(res))
+        results.append(res)
+    upper = min(r.upper for r in results)
+    assert max(r.lower for r in results) <= upper * (1.0 + 1e-12)
 
 
 def _interior_scaling(rng, d, decades):

@@ -9,7 +9,8 @@ import pytest
 
 import oracles
 from sepball import (
-    algebra, cli, jsonio, maps, sampling, sdp, separability, theorems, verify,
+    algebra, cbnorm, cli, jsonio, maps, sampling, sdp, separability, theorems,
+    verify,
 )
 
 M2 = algebra.FdAlgebra((2,))
@@ -631,7 +632,16 @@ def _scipy_probe(argvs):
     return json.loads(out)
 
 
-def test_commands_without_a_solve_never_load_scipy():
+def test_commands_other_than_sdp_solve_never_load_scipy(tmp_path):
+    # cbnorm solves its program on numpy alone: the closed form leaves
+    # reduction:3 and a general 3 -> 4 map open, so the SDP answers them
+    rng = sampling.rng_from(0x5C1, 3, 4)
+    general = maps.LinearMapRep(3, 4, sampling.complex_gaussian(rng, (12, 12)))
+    for f in (maps.reduction_map(3), general):
+        closed = cbnorm.closed_form(f)
+        assert closed.upper - closed.lower > 1e-3 * closed.upper
+    path = tmp_path / "map34.json"
+    path.write_text(jsonio.dumps(jsonio.encode_map(general)))
     argvs = [
         ["gamma-scan", "--algA", "2,3", "--algB", "3", "--radii",
          "0.3,0.34,0.4", "--samples", "4", "--verify"],
@@ -641,6 +651,8 @@ def test_commands_without_a_solve_never_load_scipy():
          "--verify"],
         ["kappa", "--n", "3", "--m", "3", "--verify"],
         ["cbnorm", "--map", "transpose:3", "--verify"],
+        ["cbnorm", "--map", "reduction:3", "--verify"],
+        ["cbnorm", "--map", f"file:{path}", "--verify"],
     ]
     probe = _scipy_probe(argvs)
     assert len(probe["modules"]) == 12
@@ -648,7 +660,24 @@ def test_commands_without_a_solve_never_load_scipy():
     assert probe["runs"] == [[0, False]] * len(argvs)
 
 
-def test_a_solve_imports_scipy_where_it_is_used():
-    # reduction:3 is left open by the closed form, so the SDP answers it
-    probe = _scipy_probe([["cbnorm", "--map", "reduction:3", "--verify"]])
+def test_a_solve_imports_scipy_where_it_is_used(tmp_path):
+    # one row, so no dependent-row check: the dense Cholesky loads scipy
+    prob = sdp.SdpProblem(blocks=(2,), objective=(np.diag([2.0, 1.0]),),
+                          constraints=((1.0, (np.eye(2),)),))
+    path = tmp_path / "prob.json"
+    path.write_text(jsonio.dumps(jsonio.encode_sdp_problem(prob)))
+    probe = _scipy_probe([["sdp-solve", "--problem", str(path), "--verify"]])
     assert probe["runs"] == [[0, True]]
+
+
+@pytest.mark.parametrize("exc", [MemoryError(),
+                                 MemoryError("Unable to allocate 8.00 EiB")])
+def test_memory_error_ends_in_one_error_line(capsys, monkeypatch, exc):
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "kappa", exhausted)
+    code, out, err = _run(capsys, "kappa", "--n", "2", "--m", "2")
+    assert (code, out) == (1, "")
+    detail = f": {exc}" if str(exc) else ""
+    assert err == f"sepball: error: kappa ran out of memory{detail}\n"

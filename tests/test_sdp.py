@@ -218,11 +218,37 @@ def test_problem_rows_store_each_hermitian_part():
                           constraints=((1.0, (a,)),))
     want = matcore.check_hermitian(a)
     row = prob.rows[0]
-    assert row.shape == (1, 9) and row.nnz == 4
+    assert row.shape == (1, 9)
+    assert row.row.tolist() == [0] * 4 and row.col.tolist() == [0, 1, 3, 4]
+    assert row.value.tobytes() == want.ravel()[row.col].tobytes()
     assert row.toarray().tobytes() == want.reshape(1, 9).tobytes()
     assert prob.rhs.tobytes() == np.array([1.0]).tobytes()
     ((rhs, (got,)),) = prob.constraints
     assert rhs == 1.0 and got.tobytes() == want.tobytes()
+
+
+def test_rows_from_entries_sum_each_position_once():
+    # (2, 5) and (0, 3) are given twice and summed; (1, 7) cancels and is
+    # dropped; the entries come out sorted by row and then by column
+    entries = [(2, 5, 1 + 2j), (0, 3, 0.5), (2, 5, -0.25j), (1, 0, 2.0),
+               (0, 1, 1j), (1, 7, 3.0), (1, 7, -3.0), (0, 3, 0.25)]
+    row, col, value = (np.array(x) for x in zip(*entries))
+    rows = sdp.Rows.from_entries(row, col, value, (3, 9))
+    dense = np.zeros((3, 9), dtype=np.complex128)
+    dense[0, 1], dense[0, 3], dense[1, 0], dense[2, 5] = 1j, 0.75, 2, 1 + 1.75j
+    want = sdp.Rows.from_dense(dense)
+    assert rows.shape == want.shape
+    for got, ref in ((rows.row, want.row), (rows.col, want.col),
+                     (rows.value, want.value)):
+        assert got.tobytes() == ref.tobytes()
+    assert rows.toarray().tobytes() == dense.tobytes()
+    assert rows.take([0, 2]).toarray().tobytes() == dense[[0, 2]].tobytes()
+    rng = _rng(31)
+    x = sampling.complex_gaussian(rng, (3, 3))
+    y = rng.standard_normal(3)
+    nptest.assert_allclose(rows.apply(x), np.real(dense.conj() @ x.ravel()),
+                           rtol=1e-15, atol=0)
+    nptest.assert_allclose(rows.adjoint(y), dense.T @ y, rtol=1e-15, atol=0)
 
 
 def test_solution_close_to_analytic_optimizer():
@@ -487,8 +513,14 @@ def test_system_is_built_from_the_kept_rows():
     sol = sdp.solve(prob, system)
     (comp,) = built
     assert comp.p == len(comp.keep) == prob.num_constraints - 1
-    assert comp.csr[0].shape[0] == comp.p
-    assert (comp.csr[0] != prob.rows[0][comp.keep]).nnz == 0
+    (got,), (rows,) = comp.rows, prob.rows
+    assert got.shape == (comp.p, 9)
+    kept = rows.toarray()[comp.keep]
+    assert got.toarray().tobytes() == kept.tobytes()
+    row, col = np.nonzero(kept)
+    assert got.row.tobytes() == row.tobytes()
+    assert got.col.tobytes() == col.tobytes()
+    assert got.value.tobytes() == kept[row, col].tobytes()
     assert sol.status == "optimal" and "dropped 1" in sol.message
     assert _solution_bytes(sol) == _solution_bytes(sdp.solve(prob))
 
